@@ -19,7 +19,11 @@
 /// A Hierarchy is built incrementally, then finalize() validates it
 /// (acyclicity, no duplicate direct bases - both C++ rules) and computes
 /// the preprocessing artifacts the lookup algorithm needs: a topological
-/// order of classes and the transitive base / virtual-base closures.
+/// order of classes and the virtual-base closure behind Lemma 4's
+/// constant-time test. That matrix has one column per class that is a
+/// virtual base (N x K; K = 0 without virtual edges). No transitive-base
+/// structure is kept - a chain's would be Theta(N^2) - so isBaseOf() and
+/// basesOf() walk the direct-base lists; loops hoist a basesOf().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +31,7 @@
 #define MEMLOOK_CHG_HIERARCHY_H
 
 #include "memlook/support/BitMatrix.h"
+#include "memlook/support/BitVector.h"
 #include "memlook/support/Diagnostics.h"
 #include "memlook/support/StringInterner.h"
 #include "memlook/support/StrongId.h"
@@ -153,8 +158,9 @@ public:
   /// does not change any state.
   bool validate(DiagnosticEngine &Diags) const;
 
-  /// Validates the graph and computes the topological order and the base /
-  /// virtual-base closures. Returns false (and reports) on a cycle.
+  /// Validates the graph and computes the topological order and the
+  /// virtual-base closure. Returns false (and reports) on a cycle or a
+  /// bad using-declaration target.
   /// Construction calls are invalid after a successful finalize().
   bool finalize(DiagnosticEngine &Diags);
 
@@ -224,31 +230,44 @@ public:
     return TopoOrder;
   }
 
-  /// True iff \p Base is a (transitive, proper) base class of \p Derived:
-  /// a nonempty CHG path Base -> ... -> Derived exists.
-  bool isBaseOf(ClassId Base, ClassId Derived) const {
-    assert(Finalized && "closures require finalize()");
-    return BasesClosure.test(Derived.index(), Base.index());
+  /// Position of \p Id in topologicalOrder(): every proper base of a
+  /// class has a smaller index than the class. Requires finalize().
+  uint32_t topoIndex(ClassId Id) const {
+    assert(Finalized && "topological order requires finalize()");
+    return TopoIndex[Id.index()];
   }
+
+  /// True iff \p Base is a (transitive, proper) base class of \p Derived:
+  /// a nonempty CHG path Base -> ... -> Derived exists. Walks the direct
+  /// bases up from Derived, skipping classes ordered before Base, so it
+  /// costs up to the size of Derived's up-closure.
+  bool isBaseOf(ClassId Base, ClassId Derived) const;
 
   /// True iff \p Base is a virtual base of \p Derived: some CHG path from
-  /// Base to Derived starts with a virtual edge (Section 2).
+  /// Base to Derived starts with a virtual edge (Section 2). One rank
+  /// load plus at most one bit test.
   bool isVirtualBaseOf(ClassId Base, ClassId Derived) const {
     assert(Finalized && "closures require finalize()");
-    return VirtualClosure.test(Derived.index(), Base.index());
+    uint32_t Rank = VirtualRank[Base.index()];
+    return Rank != NoRank && VirtualClosure.test(Derived.index(), Rank);
   }
 
-  /// The set of (transitive) bases of \p Derived as a bit-row view
-  /// indexed by class index (valid while this hierarchy lives).
-  BitRowView basesOf(ClassId Derived) const {
-    assert(Finalized && "closures require finalize()");
-    return BasesClosure.row(Derived.index());
-  }
+  /// The set of (transitive) bases of \p Derived, indexed by class index;
+  /// one walk up the direct-base lists.
+  BitVector basesOf(ClassId Derived) const;
 
-  /// The set of virtual bases of \p Derived as a bit-row view.
-  BitRowView virtualBasesOf(ClassId Derived) const {
-    assert(Finalized && "closures require finalize()");
-    return VirtualClosure.row(Derived.index());
+  /// Sets in \p Seen every base of \p From reachable through classes not
+  /// yet set, so calls sharing \p Seen walk each class once. Needs no
+  /// finalize() and terminates on cyclic graphs.
+  void markBases(ClassId From, BitVector &Seen) const;
+
+  /// The set of virtual bases of \p Derived, indexed by class index.
+  BitVector virtualBasesOf(ClassId Derived) const;
+
+  /// Number of classes that are a virtual base of some class: the
+  /// column count K of the virtual-base matrix.
+  uint32_t numVirtualBaseClasses() const {
+    return static_cast<uint32_t>(VirtualBaseClasses.size());
   }
 
   /// The inheritance kind of the direct edge Base -> Derived, or nullopt
@@ -261,26 +280,35 @@ public:
   /// Sum over classes of |M[X]| (number of member declarations).
   uint32_t numMemberDecls() const { return NumMemberDecls; }
 
+  /// Heap bytes this hierarchy holds: class records, names, topological
+  /// order and closures (hash-table nodes estimated from their sizes).
+  size_t heapBytes() const;
+
 private:
+  /// VirtualRank of a class that is no class's virtual base.
+  static constexpr uint32_t NoRank = UINT32_MAX;
+
+  /// Reports every using-declaration whose target is not a base of its
+  /// class, in class then declaration order. Returns true iff none is.
+  bool checkUsingTargets(DiagnosticEngine &Diags) const;
+
   StringInterner Names;
   std::vector<ClassInfo> Classes;
   std::unordered_map<Symbol, ClassId> ClassByName;
 
-  // Direct-edge attribute index keyed by (base, derived) packed into one
-  // 64-bit word; built during finalize for O(1) edgeKind/edgeAccess.
-  std::unordered_map<uint64_t, std::pair<InheritanceKind, AccessSpec>> EdgeIndex;
-
   std::vector<ClassId> TopoOrder;
+  std::vector<uint32_t> TopoIndex; // class index -> position in TopoOrder
   std::vector<Symbol> MemberNames;
-  BitMatrix BasesClosure;   // row = derived, col = base
-  BitMatrix VirtualClosure; // row = derived, col = virtual base
+  // Virtual-base closure, rank-compressed: VirtualBaseClasses lists the
+  // K classes that are some class's virtual base in ascending id order,
+  // VirtualRank maps a class to its position there (or NoRank), and
+  // VirtualClosure is N x K (row = derived, col = rank).
+  std::vector<uint32_t> VirtualRank;
+  std::vector<ClassId> VirtualBaseClasses;
+  BitMatrix VirtualClosure;
   uint32_t NumEdges = 0;
   uint32_t NumMemberDecls = 0;
   bool Finalized = false;
-
-  static uint64_t edgeKey(ClassId Base, ClassId Derived) {
-    return (static_cast<uint64_t>(Base.index()) << 32) | Derived.index();
-  }
 };
 
 } // namespace memlook

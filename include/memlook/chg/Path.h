@@ -175,6 +175,12 @@ std::string formatPath(const Hierarchy &H, const Path &P);
 /// contains a virtual edge and as the plain path otherwise.
 std::string formatSubobjectKey(const Hierarchy &H, const SubobjectKey &Key);
 
+/// One CHG path \p From -> ... -> \p To, built greedily: each step enters
+/// the first direct derived class that is \p To or in \p ToBases, which
+/// must be H.basesOf(To). From must be To or in ToBases.
+Path greedyPath(const Hierarchy &H, ClassId From, ClassId To,
+                const BitVector &ToBases);
+
 /// Enumerates every CHG path from \p From to \p To in lexicographic node
 /// order, invoking \p Visit on each. Stops early (returning false) once
 /// \p MaxPaths paths have been produced; returns true if the enumeration

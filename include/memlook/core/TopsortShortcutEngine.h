@@ -25,24 +25,18 @@
 
 #include "memlook/core/LookupEngine.h"
 
-#include <vector>
-
 namespace memlook {
 
 /// Maximum-topological-number lookup; valid only on ambiguity-free
 /// programs.
 class TopsortShortcutEngine : public LookupEngine {
 public:
-  explicit TopsortShortcutEngine(const Hierarchy &H);
+  explicit TopsortShortcutEngine(const Hierarchy &H) : LookupEngine(H) {}
 
   LookupResult lookup(ClassId Context, Symbol Member) override;
   using LookupEngine::lookup;
 
   std::string_view engineName() const override { return "topsort-shortcut"; }
-
-private:
-  /// Position of each class in the topological order ("top-sort number").
-  std::vector<uint32_t> TopoNumber;
 };
 
 } // namespace memlook

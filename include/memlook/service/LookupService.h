@@ -312,6 +312,10 @@ struct ServiceStats {
   /// Exact heap bytes of the *current* snapshot's table (0 when cold) -
   /// a gauge sampled at stats() time, not a monotone counter.
   uint64_t TableHeapBytes = 0;
+  /// Heap bytes of the *current* snapshot's hierarchy (class records,
+  /// names, topological order, virtual-base closure) - a gauge sampled
+  /// at stats() time.
+  uint64_t HierarchyHeapBytes = 0;
   uint64_t SnapshotSaves = 0;    ///< saveSnapshot() calls that hit disk
   uint64_t SnapshotRestores = 0; ///< restores served from the snapshot rung
   uint64_t SnapshotQuarantines = 0; ///< snapshot files moved aside as bad

@@ -8,24 +8,23 @@
 /// \file
 /// A dense NxM boolean matrix stored as packed rows. The paper's Lemma 4
 /// dominance test needs a constant-time "is X a virtual base of Y" query;
-/// the matrix provides it after an O(|N|*(|N|+|E|)) closure construction
-/// (which the paper notes a compiler computes anyway).
+/// Hierarchy keeps it as an N x K matrix, one column per class that is
+/// some class's virtual base, built by one row union per CHG edge in
+/// topological order (the O(|N|*(|N|+|E|)) closure the paper notes a
+/// compiler computes anyway, with K in place of the second |N|).
 ///
 /// Storage is one contiguous word buffer, not a vector of BitVectors:
 /// hierarchy-sized matrices (one row per class) used to cost one heap
-/// allocation per row, and the snapshot loader's replay - which builds
-/// two of these per warm start - spent a measurable slice of its time in
-/// the allocator. Rows are handed out as BitRowView, a non-owning view
-/// with BitVector's read API.
+/// allocation per row, and the snapshot loader's replay spent a
+/// measurable slice of its time in the allocator.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEMLOOK_SUPPORT_BITMATRIX_H
 #define MEMLOOK_SUPPORT_BITMATRIX_H
 
-#include "memlook/support/BitVector.h"
-
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,12 +64,18 @@ public:
       D[I] |= S[I];
   }
 
-  /// A non-owning view of row \p Row, valid while the matrix lives and
-  /// is not resized.
-  BitRowView row(size_t Row) const {
+  /// Calls \p Fn(column) for every set bit of row \p Row, in increasing
+  /// column order.
+  template <typename FnT> void forEachSetBit(size_t Row, FnT Fn) const {
     assert(Row < NumRows && "row out of range");
-    return BitRowView(Words.data() + Row * RowWords, NumCols);
+    const uint64_t *R = Words.data() + Row * RowWords;
+    for (size_t WI = 0; WI != RowWords; ++WI)
+      for (uint64_t W = R[WI]; W != 0; W &= W - 1)
+        Fn(WI * 64 + static_cast<size_t>(__builtin_ctzll(W)));
   }
+
+  /// Heap footprint of the word storage.
+  size_t heapBytes() const { return Words.capacity() * sizeof(uint64_t); }
 
 private:
   static size_t wordsPerRow(size_t Cols) { return (Cols + 63) / 64; }

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A fixed-size packed bit vector with word-parallel union/intersection.
-/// Used for the transitive base-class and virtual-base closures, where one
-/// row per class is unioned into derived classes' rows along CHG edges.
+/// Used for class sets indexed by class id (a class's bases, the classes
+/// an edit impacts) and for per-column computed-row bitmaps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,42 +21,6 @@
 #include <vector>
 
 namespace memlook {
-
-/// A read-only view of a row of packed bits - what a flat BitMatrix
-/// hands out instead of a BitVector reference. Mirrors BitVector's read
-/// API; holds no storage, so it is only valid while the matrix is.
-class BitRowView {
-public:
-  BitRowView() = default;
-  BitRowView(const uint64_t *Words, size_t NumBits)
-      : TheWords(Words), NumBits(NumBits) {}
-
-  size_t size() const { return NumBits; }
-
-  bool test(size_t Idx) const {
-    assert(Idx < NumBits && "bit index out of range");
-    return (TheWords[Idx / 64] >> (Idx % 64)) & 1;
-  }
-
-  /// Calls \p Fn(index) for every set bit, in increasing index order.
-  template <typename FnT> void forEachSetBit(FnT Fn) const {
-    for (size_t WI = 0, WE = numWords(); WI != WE; ++WI) {
-      uint64_t W = TheWords[WI];
-      while (W != 0) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-        Fn(WI * 64 + Bit);
-        W &= W - 1;
-      }
-    }
-  }
-
-  const uint64_t *words() const { return TheWords; }
-  size_t numWords() const { return (NumBits + 63) / 64; }
-
-private:
-  const uint64_t *TheWords = nullptr;
-  size_t NumBits = 0;
-};
 
 /// Fixed-size packed vector of bits.
 class BitVector {
@@ -108,14 +72,6 @@ public:
     assert(NumBits == Other.NumBits && "size mismatch in union");
     for (size_t I = 0, E = Words.size(); I != E; ++I)
       Words[I] |= Other.Words[I];
-    return *this;
-  }
-
-  /// Word-parallel union with a matrix row. Sizes must match.
-  BitVector &operator|=(BitRowView Other) {
-    assert(NumBits == Other.size() && "size mismatch in union");
-    for (size_t I = 0, E = Words.size(); I != E; ++I)
-      Words[I] |= Other.words()[I];
     return *this;
   }
 

@@ -58,6 +58,17 @@ public:
   /// Number of distinct interned strings.
   size_t size() const { return Spellings.size(); }
 
+  /// Heap bytes held: each spelling (text beyond the inline buffer
+  /// included) and its index node, plus the index's buckets.
+  size_t heapBytes() const {
+    const size_t Inline = std::string().capacity();
+    size_t Bytes = Index.bucket_count() * sizeof(void *);
+    for (const std::string &S : Spellings)
+      Bytes += sizeof(S) + (S.capacity() > Inline ? S.capacity() + 1 : 0) +
+               2 * sizeof(void *) + sizeof(std::string_view) + sizeof(Symbol);
+    return Bytes;
+  }
+
 private:
   // Deque keeps element addresses stable so the string_view keys in Index
   // (which point into the stored spellings) survive growth.

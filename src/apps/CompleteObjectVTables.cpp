@@ -13,9 +13,15 @@ using namespace memlook;
 
 std::vector<Symbol> memlook::collectVirtualMemberNames(const Hierarchy &H,
                                                        ClassId Class) {
+  // Virtuality is sticky in C++ - an overrider is virtual because some
+  // base declaration is - so scanning declarations for the IsVirtual flag
+  // is the right test. Deterministic order: topological (bases first),
+  // then declaration order within a class - the "first virtual
+  // declaration" order real vtable layouts use.
   std::vector<Symbol> Names;
+  BitVector Bases = H.basesOf(Class);
   for (ClassId Source : H.topologicalOrder()) {
-    if (Source != Class && !H.isBaseOf(Source, Class))
+    if (Source != Class && !Bases.test(Source.index()))
       continue;
     for (const MemberDecl &Member : H.info(Source).Members)
       if (Member.IsVirtual &&

@@ -7,35 +7,14 @@
 
 #include "memlook/apps/VTableBuilder.h"
 
-#include <algorithm>
+#include "memlook/apps/CompleteObjectVTables.h"
 
 using namespace memlook;
 
 VTable VTableBuilder::build(ClassId Class) {
   VTable Table;
   Table.Class = Class;
-
-  // Collect the virtual member names visible in Class: names declared
-  // virtual by Class itself or any of its bases. Virtuality is sticky in
-  // C++ - an overrider is virtual because some base declaration is - so
-  // scanning declarations for the IsVirtual flag is the right test.
-  std::vector<Symbol> VirtualNames;
-  auto CollectFrom = [&](ClassId Source) {
-    for (const MemberDecl &Member : H.info(Source).Members)
-      if (Member.IsVirtual &&
-          std::find(VirtualNames.begin(), VirtualNames.end(), Member.Name) ==
-              VirtualNames.end())
-        VirtualNames.push_back(Member.Name);
-  };
-
-  // Deterministic order: topological (bases first), then declaration
-  // order within a class - the "first virtual declaration" order real
-  // vtable layouts use.
-  for (ClassId Base : H.topologicalOrder())
-    if (Base == Class || H.isBaseOf(Base, Class))
-      CollectFrom(Base);
-
-  for (Symbol Member : VirtualNames)
+  for (Symbol Member : collectVirtualMemberNames(H, Class))
     Table.Slots.push_back(VTable::Slot{Member, Engine.lookup(Class, Member)});
   return Table;
 }

@@ -10,6 +10,7 @@
 #include "memlook/support/TopologicalSort.h"
 
 #include <string>
+#include <utility>
 
 using namespace memlook;
 
@@ -140,128 +141,80 @@ void Hierarchy::addUsingDeclaration(ClassId Class, ClassId From,
   ++NumMemberDecls;
 }
 
-bool Hierarchy::validate(DiagnosticEngine &Diags) const {
-  uint32_t N = numClasses();
+/// Topologically sorts \p H's classes (bases first), reporting a cycle.
+static TopologicalSortResult sortClasses(const Hierarchy &H,
+                                         DiagnosticEngine &Diags) {
+  uint32_t N = H.numClasses();
   std::vector<std::vector<uint32_t>> Successors(N);
   for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
+    for (const BaseSpecifier &Spec : H.info(ClassId(D)).DirectBases)
       Successors[Spec.Base.index()].push_back(D);
 
-  bool Ok = true;
   TopologicalSortResult Topo = topologicalSort(N, Successors);
   if (!Topo.IsAcyclic) {
     std::string Witness =
         Topo.CycleWitness
-            ? std::string(className(ClassId(*Topo.CycleWitness)))
+            ? std::string(H.className(ClassId(*Topo.CycleWitness)))
             : std::string("<unknown>");
     Diags.error("inheritance graph is cyclic (class '" + Witness +
                     "' participates in a cycle)",
                 DiagCode::InheritanceCycle);
-    Ok = false;
   }
+  return Topo;
+}
 
-  // Using-declaration targets must be (transitive) bases. The closures
-  // may not exist yet (and never will on a cyclic graph), so walk the
-  // base DAG directly per declaring class; the visited set keeps this
-  // linear and cycle-safe.
-  std::vector<uint8_t> Reach;
-  for (uint32_t D = 0; D != N; ++D) {
-    bool AnyUsing = false;
-    for (const MemberDecl &Member : Classes[D].Members)
-      AnyUsing |= Member.isUsingDeclaration();
-    if (!AnyUsing)
-      continue;
-
-    Reach.assign(N, 0);
-    std::vector<uint32_t> Stack{D};
-    while (!Stack.empty()) {
-      uint32_t Cur = Stack.back();
-      Stack.pop_back();
-      for (const BaseSpecifier &Spec : Classes[Cur].DirectBases)
-        if (!Reach[Spec.Base.index()]) {
-          Reach[Spec.Base.index()] = 1;
-          Stack.push_back(Spec.Base.index());
-        }
-    }
-
-    for (const MemberDecl &Member : Classes[D].Members)
-      if (Member.isUsingDeclaration() && !Reach[Member.UsingFrom.index()]) {
-        Diags.error(Member.Loc,
-                    "'" + std::string(className(Member.UsingFrom)) +
-                        "' in using-declaration is not a base class of '" +
-                        std::string(className(ClassId(D))) + "'",
-                    DiagCode::InvalidUsingTarget);
-        Ok = false;
-      }
-  }
-  return Ok;
+bool Hierarchy::validate(DiagnosticEngine &Diags) const {
+  bool Acyclic = sortClasses(*this, Diags).IsAcyclic;
+  // Using-declaration targets must be (transitive) bases; the walk is
+  // cycle-safe, so this works on a graph finalize() would reject.
+  return checkUsingTargets(Diags) && Acyclic;
 }
 
 bool Hierarchy::finalize(DiagnosticEngine &Diags) {
   assert(!Finalized && "finalize() called twice");
 
   uint32_t N = numClasses();
-  std::vector<std::vector<uint32_t>> Successors(N);
-  for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
-      Successors[Spec.Base.index()].push_back(D);
-
-  TopologicalSortResult Topo = topologicalSort(N, Successors);
-  if (!Topo.IsAcyclic) {
-    std::string Witness =
-        Topo.CycleWitness
-            ? std::string(className(ClassId(*Topo.CycleWitness)))
-            : std::string("<unknown>");
-    Diags.error("inheritance graph is cyclic (class '" + Witness +
-                    "' participates in a cycle)",
-                DiagCode::InheritanceCycle);
+  TopologicalSortResult Topo = sortClasses(*this, Diags);
+  if (!Topo.IsAcyclic)
     return false;
-  }
 
   TopoOrder.reserve(N);
-  for (uint32_t Idx : Topo.Order)
+  TopoIndex.assign(N, 0);
+  for (uint32_t Idx : Topo.Order) {
+    TopoIndex[Idx] = static_cast<uint32_t>(TopoOrder.size());
     TopoOrder.push_back(ClassId(Idx));
-
-  // Transitive closures, bases before derived:
-  //   Bases[D]   = union over direct bases B of D of Bases[B] + {B}
-  //   Virtual[D] = union over direct bases B of
-  //                  Virtual[B] + ({B} if the edge B->D is virtual)
-  // The second line is the paper's Section 2 definition: X is a virtual
-  // base of Y iff some path X -> ... -> Y *starts* with a virtual edge.
-  BasesClosure = BitMatrix(N, N);
-  VirtualClosure = BitMatrix(N, N);
-  for (ClassId C : TopoOrder) {
-    for (const BaseSpecifier &Spec : Classes[C.index()].DirectBases) {
-      BasesClosure.unionRows(C.index(), Spec.Base.index());
-      BasesClosure.set(C.index(), Spec.Base.index());
-      VirtualClosure.unionRows(C.index(), Spec.Base.index());
-      if (Spec.Kind == InheritanceKind::Virtual)
-        VirtualClosure.set(C.index(), Spec.Base.index());
-    }
   }
 
   // A using-declaration must name a (transitive) base of its class
-  // ([namespace.udecl]); this needs the closure just computed.
-  bool UsingOk = true;
-  for (uint32_t D = 0; D != N; ++D)
-    for (const MemberDecl &Member : Classes[D].Members)
-      if (Member.isUsingDeclaration() &&
-          !BasesClosure.test(D, Member.UsingFrom.index())) {
-        Diags.error(Member.Loc,
-                    "'" + std::string(className(Member.UsingFrom)) +
-                        "' in using-declaration is not a base class of '" +
-                        std::string(className(ClassId(D))) + "'",
-                    DiagCode::InvalidUsingTarget);
-        UsingOk = false;
-      }
-  if (!UsingOk)
+  // ([namespace.udecl]).
+  if (!checkUsingTargets(Diags))
     return false;
 
-  // Direct-edge attribute index for O(1) edgeKind / edgeAccess.
-  for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : Classes[D].DirectBases)
-      EdgeIndex.emplace(edgeKey(Spec.Base, ClassId(D)),
-                        std::make_pair(Spec.Kind, Spec.Access));
+  // Virtual-base closure, bases before derived:
+  //   Virtual[D] = union over direct bases B of
+  //                  Virtual[B] + ({B} if the edge B->D is virtual)
+  // This is the paper's Section 2 definition: X is a virtual base of Y
+  // iff some path X -> ... -> Y *starts* with a virtual edge. So only the
+  // base end of a virtual edge can ever be set, and only those classes
+  // get a column.
+  VirtualRank.assign(N, NoRank);
+  for (const ClassInfo &Info : Classes)
+    for (const BaseSpecifier &Spec : Info.DirectBases)
+      if (Spec.Kind == InheritanceKind::Virtual)
+        VirtualRank[Spec.Base.index()] = 0;
+  for (uint32_t C = 0; C != N; ++C)
+    if (VirtualRank[C] != NoRank) {
+      VirtualRank[C] = static_cast<uint32_t>(VirtualBaseClasses.size());
+      VirtualBaseClasses.push_back(ClassId(C));
+    }
+  VirtualClosure = BitMatrix(N, VirtualBaseClasses.size());
+  if (!VirtualBaseClasses.empty())
+    for (ClassId C : TopoOrder)
+      for (const BaseSpecifier &Spec : Classes[C.index()].DirectBases) {
+        VirtualClosure.unionRows(C.index(), Spec.Base.index());
+        if (Spec.Kind == InheritanceKind::Virtual)
+          VirtualClosure.set(C.index(), VirtualRank[Spec.Base.index()]);
+      }
 
   // Collect the program's distinct member names |M| in first-declaration
   // order (deterministic: class creation order, then declaration order).
@@ -297,12 +250,6 @@ const MemberDecl *Hierarchy::declaredMember(ClassId Class, Symbol Name) const {
 
 std::optional<InheritanceKind> Hierarchy::edgeKind(ClassId Base,
                                                    ClassId Derived) const {
-  if (Finalized) {
-    auto It = EdgeIndex.find(edgeKey(Base, Derived));
-    if (It == EdgeIndex.end())
-      return std::nullopt;
-    return It->second.first;
-  }
   for (const BaseSpecifier &Spec : info(Derived).DirectBases)
     if (Spec.Base == Base)
       return Spec.Kind;
@@ -311,14 +258,104 @@ std::optional<InheritanceKind> Hierarchy::edgeKind(ClassId Base,
 
 std::optional<AccessSpec> Hierarchy::edgeAccess(ClassId Base,
                                                 ClassId Derived) const {
-  if (Finalized) {
-    auto It = EdgeIndex.find(edgeKey(Base, Derived));
-    if (It == EdgeIndex.end())
-      return std::nullopt;
-    return It->second.second;
-  }
   for (const BaseSpecifier &Spec : info(Derived).DirectBases)
     if (Spec.Base == Base)
       return Spec.Access;
   return std::nullopt;
+}
+
+void Hierarchy::markBases(ClassId From, BitVector &Seen) const {
+  std::vector<ClassId> Stack{From};
+  while (!Stack.empty()) {
+    ClassId Cur = Stack.back();
+    Stack.pop_back();
+    for (const BaseSpecifier &Spec : Classes[Cur.index()].DirectBases)
+      if (!Seen.test(Spec.Base.index())) {
+        Seen.set(Spec.Base.index());
+        Stack.push_back(Spec.Base);
+      }
+  }
+}
+
+bool Hierarchy::checkUsingTargets(DiagnosticEngine &Diags) const {
+  bool Ok = true;
+  BitVector Reach(numClasses());
+  for (uint32_t D = 0, N = numClasses(); D != N; ++D) {
+    bool AnyUsing = false;
+    for (const MemberDecl &Member : Classes[D].Members)
+      AnyUsing |= Member.isUsingDeclaration();
+    if (!AnyUsing)
+      continue;
+
+    Reach.clear();
+    markBases(ClassId(D), Reach);
+    for (const MemberDecl &Member : Classes[D].Members)
+      if (Member.isUsingDeclaration() &&
+          !Reach.test(Member.UsingFrom.index())) {
+        Diags.error(Member.Loc,
+                    "'" + std::string(className(Member.UsingFrom)) +
+                        "' in using-declaration is not a base class of '" +
+                        std::string(className(ClassId(D))) + "'",
+                    DiagCode::InvalidUsingTarget);
+        Ok = false;
+      }
+  }
+  return Ok;
+}
+
+bool Hierarchy::isBaseOf(ClassId Base, ClassId Derived) const {
+  assert(Finalized && "closures require finalize()");
+  // Every proper base of X has a smaller topological index than X, so the
+  // walk up from Derived never needs a class ordered at or before Base.
+  uint32_t Floor = TopoIndex[Base.index()];
+  if (Floor >= TopoIndex[Derived.index()])
+    return false;
+  BitVector Seen(numClasses());
+  std::vector<ClassId> Stack{Derived};
+  while (!Stack.empty()) {
+    ClassId Cur = Stack.back();
+    Stack.pop_back();
+    for (const BaseSpecifier &Spec : Classes[Cur.index()].DirectBases) {
+      if (Spec.Base == Base)
+        return true;
+      uint32_t B = Spec.Base.index();
+      if (TopoIndex[B] > Floor && !Seen.test(B)) {
+        Seen.set(B);
+        Stack.push_back(Spec.Base);
+      }
+    }
+  }
+  return false;
+}
+
+BitVector Hierarchy::basesOf(ClassId Derived) const {
+  assert(Finalized && "closures require finalize()");
+  BitVector Bases(numClasses());
+  markBases(Derived, Bases);
+  return Bases;
+}
+
+BitVector Hierarchy::virtualBasesOf(ClassId Derived) const {
+  assert(Finalized && "closures require finalize()");
+  BitVector Bases(numClasses());
+  VirtualClosure.forEachSetBit(Derived.index(), [&](size_t Rank) {
+    Bases.set(VirtualBaseClasses[Rank].index());
+  });
+  return Bases;
+}
+
+size_t Hierarchy::heapBytes() const {
+  auto VecBytes = [](const auto &V) { return V.capacity() * sizeof(V[0]); };
+  size_t Bytes = Names.heapBytes() + VecBytes(Classes) + VecBytes(TopoOrder) +
+                 VecBytes(TopoIndex) + VecBytes(MemberNames) +
+                 VecBytes(VirtualRank) + VecBytes(VirtualBaseClasses) +
+                 VirtualClosure.heapBytes();
+  for (const ClassInfo &Info : Classes)
+    Bytes += VecBytes(Info.DirectBases) + VecBytes(Info.DirectDerived) +
+             VecBytes(Info.Members);
+  // One node per entry (next pointer, cached hash, value) plus buckets.
+  Bytes += ClassByName.bucket_count() * sizeof(void *) +
+           ClassByName.size() *
+               (2 * sizeof(void *) + sizeof(std::pair<Symbol, ClassId>));
+  return Bytes;
 }

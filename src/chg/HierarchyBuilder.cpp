@@ -51,24 +51,24 @@ HierarchyBuilder HierarchyBuilder::fromHierarchy(const Hierarchy &Source) {
   HierarchyBuilder Builder;
   Hierarchy &H = Builder.H;
 
-  // Topological order guarantees bases exist before their derivers.
+  // Topological order guarantees bases exist before their derivers, so
+  // NewId already maps every base (and using-declaration target).
+  std::vector<ClassId> NewId(Source.numClasses());
   for (ClassId Old : Source.topologicalOrder()) {
     const Hierarchy::ClassInfo &Info = Source.info(Old);
     ClassId New = H.createClass(Source.className(Old), Info.Loc);
     assert(New.isValid() && "source hierarchy had duplicate names?");
+    NewId[Old.index()] = New;
 
-    for (const BaseSpecifier &Spec : Info.DirectBases) {
-      ClassId NewBase = H.findClass(Source.className(Spec.Base));
-      assert(NewBase.isValid() && "base precedes deriver in topo order");
-      H.addBase(New, NewBase, Spec.Kind, Spec.Access, Spec.Loc);
-    }
+    for (const BaseSpecifier &Spec : Info.DirectBases)
+      H.addBase(New, NewId[Spec.Base.index()], Spec.Kind, Spec.Access,
+                Spec.Loc);
 
     for (const MemberDecl &Member : Info.Members) {
       if (Member.isUsingDeclaration()) {
-        ClassId NewFrom = H.findClass(Source.className(Member.UsingFrom));
-        assert(NewFrom.isValid());
-        H.addUsingDeclaration(New, NewFrom, Source.spelling(Member.Name),
-                              Member.Access, Member.Loc);
+        H.addUsingDeclaration(New, NewId[Member.UsingFrom.index()],
+                              Source.spelling(Member.Name), Member.Access,
+                              Member.Loc);
       } else {
         H.addMember(New, Source.spelling(Member.Name), Member.IsStatic,
                     Member.IsVirtual, Member.Access, Member.Loc);

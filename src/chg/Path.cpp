@@ -154,16 +154,34 @@ std::string memlook::formatSubobjectKey(const Hierarchy &H,
   return Out;
 }
 
+Path memlook::greedyPath(const Hierarchy &H, ClassId From, ClassId To,
+                         const BitVector &ToBases) {
+  Path Result(From);
+  for (ClassId Cur = From; Cur != To;) {
+    ClassId Next;
+    for (ClassId Derived : H.info(Cur).DirectDerived)
+      if (Derived == To || ToBases.test(Derived.index())) {
+        Next = Derived;
+        break;
+      }
+    assert(Next.isValid() && "From does not reach To");
+    Result.Nodes.push_back(Next);
+    Cur = Next;
+  }
+  return Result;
+}
+
 namespace {
 
 /// Forward DFS emitting every From->...->To path in lexicographic node
-/// order. Bounded by MaxPaths.
+/// order. Bounded by MaxPaths. \p Reaches is basesOf(To), computed once
+/// by the caller and used to prune branches that cannot reach To.
 class ForwardEnumerator {
 public:
-  ForwardEnumerator(const Hierarchy &H, ClassId To,
+  ForwardEnumerator(const Hierarchy &H, ClassId To, const BitVector &Reaches,
                     const std::function<void(const Path &)> &Visit,
                     size_t MaxPaths)
-      : H(H), To(To), Visit(Visit), Remaining(MaxPaths) {}
+      : H(H), To(To), Reaches(Reaches), Visit(Visit), Remaining(MaxPaths) {}
 
   bool run(ClassId From) {
     Current.Nodes.push_back(From);
@@ -187,7 +205,7 @@ private:
     std::sort(Next.begin(), Next.end());
     for (ClassId Derived : Next) {
       // Prune branches that cannot reach To.
-      if (Derived != To && !H.isBaseOf(Derived, To))
+      if (Derived != To && !Reaches.test(Derived.index()))
         continue;
       Current.Nodes.push_back(Derived);
       bool Complete = walk(Derived);
@@ -200,6 +218,7 @@ private:
 
   const Hierarchy &H;
   ClassId To;
+  const BitVector &Reaches;
   const std::function<void(const Path &)> &Visit;
   size_t Remaining;
   Path Current;
@@ -211,9 +230,10 @@ bool memlook::enumeratePaths(const Hierarchy &H, ClassId From, ClassId To,
                              const std::function<void(const Path &)> &Visit,
                              size_t MaxPaths) {
   assert(H.isFinalized() && "path enumeration requires finalize()");
-  if (From != To && !H.isBaseOf(From, To))
+  BitVector Reaches = H.basesOf(To);
+  if (From != To && !Reaches.test(From.index()))
     return true; // no paths at all
-  ForwardEnumerator Enumerator(H, To, Visit, MaxPaths);
+  ForwardEnumerator Enumerator(H, To, Reaches, Visit, MaxPaths);
   return Enumerator.run(From);
 }
 
@@ -223,17 +243,18 @@ bool memlook::enumeratePathsTo(const Hierarchy &H, ClassId To,
   assert(H.isFinalized() && "path enumeration requires finalize()");
 
   // Enumerate sources in ascending id, then paths per source.
+  BitVector Reaches = H.basesOf(To);
   size_t Budget = MaxPaths;
   for (uint32_t Idx = 0, N = H.numClasses(); Idx != N; ++Idx) {
     ClassId From(Idx);
-    if (From != To && !H.isBaseOf(From, To))
+    if (From != To && !Reaches.test(Idx))
       continue;
     size_t Used = 0;
-    auto Counting = [&](const Path &P) {
+    std::function<void(const Path &)> Counting = [&](const Path &P) {
       ++Used;
       Visit(P);
     };
-    if (!enumeratePaths(H, From, To, Counting, Budget))
+    if (!ForwardEnumerator(H, To, Reaches, Counting, Budget).run(From))
       return false;
     Budget -= Used;
   }

@@ -12,46 +12,6 @@
 
 using namespace memlook;
 
-namespace {
-
-/// Any single path NamingClass -> ... -> ObjectType; when the B
-/// subobject is unique, any path names it, so one DFS suffices.
-std::optional<Path> findAnyPath(const Hierarchy &H, ClassId From,
-                                ClassId To) {
-  Path Current(From);
-  std::optional<Path> Found;
-  // Iterative DFS carrying the path; prunes to classes that reach To.
-  struct Frame {
-    ClassId Node;
-    uint32_t NextChild = 0;
-  };
-  std::vector<Frame> Stack{Frame{From, 0}};
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (Top.Node == To)
-      return Current;
-    const std::vector<ClassId> &Derived = H.info(Top.Node).DirectDerived;
-    bool Descended = false;
-    while (Top.NextChild < Derived.size()) {
-      ClassId Next = Derived[Top.NextChild++];
-      if (Next == To || H.isBaseOf(Next, To)) {
-        Current.Nodes.push_back(Next);
-        Stack.push_back(Frame{Next, 0});
-        Descended = true;
-        break;
-      }
-    }
-    if (!Descended && !(Stack.back().Node == To)) {
-      Stack.pop_back();
-      if (!Current.Nodes.empty())
-        Current.Nodes.pop_back();
-    }
-  }
-  return Found;
-}
-
-} // namespace
-
 QualifiedLookupResult
 memlook::qualifiedMemberLookup(const Hierarchy &H, LookupEngine &Engine,
                                ClassId ObjectType, ClassId NamingClass,
@@ -72,9 +32,9 @@ memlook::qualifiedMemberLookup(const Hierarchy &H, LookupEngine &Engine,
 
   // The unique B subobject: since it is unique, *any* path from B to the
   // object type names it.
-  std::optional<Path> BasePath = findAnyPath(H, NamingClass, ObjectType);
-  assert(BasePath && "count said the base exists but no path was found");
-  SubobjectKey BaseKey = subobjectKey(H, *BasePath);
+  Path BasePath =
+      greedyPath(H, NamingClass, ObjectType, H.basesOf(ObjectType));
+  SubobjectKey BaseKey = subobjectKey(H, BasePath);
   Result.BaseSubobject = BaseKey;
 
   // Step 2: ordinary member lookup in the context of the naming class.
@@ -93,6 +53,6 @@ memlook::qualifiedMemberLookup(const Hierarchy &H, LookupEngine &Engine,
     Result.Member.Subobject =
         composeSubobjectKeys(*Inner.Subobject, BaseKey);
   if (Inner.Witness)
-    Result.Member.Witness = concat(*Inner.Witness, *BasePath);
+    Result.Member.Witness = concat(*Inner.Witness, BasePath);
   return Result;
 }

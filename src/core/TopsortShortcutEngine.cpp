@@ -9,33 +9,22 @@
 
 using namespace memlook;
 
-TopsortShortcutEngine::TopsortShortcutEngine(const Hierarchy &H)
-    : LookupEngine(H) {
-  TopoNumber.assign(H.numClasses(), 0);
-  const std::vector<ClassId> &Order = H.topologicalOrder();
-  for (uint32_t Pos = 0, E = static_cast<uint32_t>(Order.size()); Pos != E;
-       ++Pos)
-    TopoNumber[Order[Pos].index()] = Pos;
-}
-
 LookupResult TopsortShortcutEngine::lookup(ClassId Context, Symbol Member) {
   // Select the declaring class with the maximum topological number among
   // Context and its bases. (Any declaring class reaches Context by some
   // path; when the program has no ambiguous lookups all those paths name
   // the same subobject, so one greedy witness path below suffices.)
   ClassId BestClass;
-  uint32_t BestNumber = 0;
   auto Consider = [&](ClassId Candidate) {
-    if (!H.declaresMember(Candidate, Member))
-      return;
-    if (!BestClass.isValid() || TopoNumber[Candidate.index()] > BestNumber) {
+    if (H.declaresMember(Candidate, Member) &&
+        (!BestClass.isValid() ||
+         H.topoIndex(Candidate) > H.topoIndex(BestClass)))
       BestClass = Candidate;
-      BestNumber = TopoNumber[Candidate.index()];
-    }
   };
 
+  BitVector Bases = H.basesOf(Context);
   Consider(Context);
-  H.basesOf(Context).forEachSetBit(
+  Bases.forEachSetBit(
       [&](size_t Idx) { Consider(ClassId(static_cast<uint32_t>(Idx))); });
 
   if (!BestClass.isValid())
@@ -43,19 +32,7 @@ LookupResult TopsortShortcutEngine::lookup(ClassId Context, Symbol Member) {
 
   // Greedy witness: walk derived-wards from the defining class toward
   // Context, always stepping into a class that still reaches Context.
-  Path Witness(BestClass);
-  ClassId Cur = BestClass;
-  while (Cur != Context) {
-    ClassId Next;
-    for (ClassId Derived : H.info(Cur).DirectDerived)
-      if (Derived == Context || H.isBaseOf(Derived, Context)) {
-        Next = Derived;
-        break;
-      }
-    assert(Next.isValid() && "declaring class does not reach context");
-    Witness.Nodes.push_back(Next);
-    Cur = Next;
-  }
+  Path Witness = greedyPath(H, BestClass, Context, Bases);
 
   // Compute the key before the move: argument evaluation order is
   // unspecified, so passing subobjectKey(H, Witness) and

@@ -1109,7 +1109,9 @@ ServiceStats LookupService::stats() const {
   S.TraceEventsOverwritten = Obs.trace().overwrittenTotal();
   S.AnomaliesLogged = Obs.anomalies().loggedTotal();
   S.AnomaliesSuppressed = Obs.anomalies().suppressedTotal();
-  if (std::shared_ptr<const Snapshot> Snap = snapshot(); Snap->Table)
+  std::shared_ptr<const Snapshot> Snap = snapshot();
+  S.HierarchyHeapBytes = Snap->H->heapBytes();
+  if (Snap->Table)
     S.TableHeapBytes = Snap->Table->heapBytes();
   return S;
 }

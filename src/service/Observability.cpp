@@ -475,6 +475,8 @@ const MetricDesc Catalog[] = {
             "Column pointers unified by structural dedup."),
     GAUGE("memlook_table_heap_bytes", TableHeapBytes,
           "Heap bytes of the current snapshot's table (0 when cold)."),
+    GAUGE("memlook_hierarchy_heap_bytes", HierarchyHeapBytes,
+          "Heap bytes of the current snapshot's hierarchy."),
     COUNTER("memlook_snapshot_saves_total", SnapshotSaves,
             "saveSnapshot() calls that hit disk."),
     COUNTER("memlook_snapshot_restores_total", SnapshotRestores,

@@ -317,32 +317,40 @@ memlook::service::computeImpactSet(const Hierarchy &Old, const Hierarchy &New,
   if (Impact.FullRebuild)
     return Impact;
 
-  // Down-closure of the edited classes, per epoch. Class ids are stable
-  // across the two epochs here (no RemoveClass), but closures differ -
-  // an AddBase edge extends the new epoch's closure only, a RemoveBase
-  // edge only the old one's - so both sides are collected.
+  // Down-closure of the edited classes, per epoch: one walk over
+  // DirectDerived. Class ids are stable across the two epochs here (no
+  // RemoveClass), but the edges differ - an AddBase edge exists in the
+  // new epoch only, a RemoveBase edge in the old one only - so both
+  // sides are collected.
   auto MarkImpacted = [&EditedClasses](const Hierarchy &H, BitVector &Bits) {
+    std::vector<ClassId> Stack;
     for (const std::string &Name : EditedClasses) {
       ClassId A = H.findClass(Name);
       if (!A.isValid())
         continue; // exists only in the other epoch (AddClass, say)
       Bits.set(A.index());
-      for (uint32_t C = 0; C != H.numClasses(); ++C)
-        if (H.isBaseOf(A, ClassId(C)))
-          Bits.set(C);
+      Stack.push_back(A);
+    }
+    while (!Stack.empty()) {
+      ClassId C = Stack.back();
+      Stack.pop_back();
+      for (ClassId D : H.info(C).DirectDerived)
+        if (!Bits.test(D.index())) {
+          Bits.set(D.index());
+          Stack.push_back(D);
+        }
     }
   };
 
   // The names whose answers can change at an impacted class C are the
   // names declared in C's up-closure - visible-before or visible-after,
-  // hence again both epochs.
+  // hence again both epochs. The up-walks share one visited set, so
+  // each class is walked once.
   auto CollectVisibleNames = [&Names](const Hierarchy &H,
                                       const BitVector &Impacted) {
-    BitVector Sources(H.numClasses());
+    BitVector Sources = Impacted;
     Impacted.forEachSetBit([&](size_t C) {
-      Sources.set(C);
-      H.basesOf(ClassId(static_cast<uint32_t>(C)))
-          .forEachSetBit([&](size_t B) { Sources.set(B); });
+      H.markBases(ClassId(static_cast<uint32_t>(C)), Sources);
     });
     Sources.forEachSetBit([&](size_t C) {
       for (const MemberDecl &M :
