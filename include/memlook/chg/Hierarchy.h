@@ -19,11 +19,13 @@
 /// A Hierarchy is built incrementally, then finalize() validates it
 /// (acyclicity, no duplicate direct bases - both C++ rules) and computes
 /// the preprocessing artifacts the lookup algorithm needs: a topological
-/// order of classes and the virtual-base closure behind Lemma 4's
-/// constant-time test. That matrix has one column per class that is a
-/// virtual base (N x K; K = 0 without virtual edges). No transitive-base
-/// structure is kept - a chain's would be Theta(N^2) - so isBaseOf() and
-/// basesOf() walk the direct-base lists; loops hoist a basesOf().
+/// order of classes, the virtual-base closure behind Lemma 4's
+/// constant-time test, and a declarer index naming, per member name, the
+/// classes that declare it. The closure matrix has one column per class
+/// that is a virtual base (N x K; K = 0 without virtual edges). No
+/// transitive-base structure is kept - a chain's would be Theta(N^2) - so
+/// isBaseOf() and basesOf() walk the direct-base lists; loops hoist a
+/// basesOf().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +39,7 @@
 #include "memlook/support/StrongId.h"
 
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -216,6 +219,20 @@ public:
     return declaredMember(Class, Name) != nullptr;
   }
 
+  /// The classes that declare \p Name directly (using-declarations
+  /// included), in ascending id order. These seed lookup[*, Name]: its
+  /// non-absent rows are exactly their down-closure. Empty for a name no
+  /// class declares. Requires finalize().
+  std::span<const ClassId> declarers(Symbol Name) const {
+    assert(Finalized && "the declarer index requires finalize()");
+    uint32_t Raw = Name.rawValue(); // invalid sentinel fails the bound
+    if (Raw + 1 >= DeclarerOffsets.size())
+      return {};
+    return std::span<const ClassId>(Declarers)
+        .subspan(DeclarerOffsets[Raw], DeclarerOffsets[Raw + 1] -
+                                           DeclarerOffsets[Raw]);
+  }
+
   /// All distinct member names declared anywhere in the program, in
   /// first-declaration order.
   const std::vector<Symbol> &allMemberNames() const {
@@ -299,6 +316,10 @@ private:
   std::vector<ClassId> TopoOrder;
   std::vector<uint32_t> TopoIndex; // class index -> position in TopoOrder
   std::vector<Symbol> MemberNames;
+  // Declarer index in CSR form: the declarers of the name with raw id S
+  // are Declarers[DeclarerOffsets[S] .. DeclarerOffsets[S + 1]).
+  std::vector<uint32_t> DeclarerOffsets;
+  std::vector<ClassId> Declarers;
   // Virtual-base closure, rank-compressed: VirtualBaseClasses lists the
   // K classes that are some class's virtual base in ascending id order,
   // VirtualRank maps a class to its position there (or NoRank), and

@@ -16,26 +16,38 @@
 /// and blue sets only exist at ambiguous entries. This header stores a
 /// column as two tiers:
 ///
-///  * a dense array of fixed-size 24-byte POD entries (kind, defining
-///    class, representative V, via link, access and flags packed into
-///    one byte each, and the red singleton V inlined into the entry);
+///  * fixed-size 24-byte POD entries (kind, defining class,
+///    representative V, via link, access and flags packed into one byte
+///    each, and the red singleton V inlined into the entry), held in
+///    pages of PageRows rows behind a page table of one pointer per
+///    page;
 ///  * two append-only overflow pools - one of ClassId for the rare
 ///    multi-element red member sets, one of BlueElement for blue sets -
 ///    referenced by (offset, count) instead of owning vectors.
 ///
-/// Entries are written exactly once (topological order guarantees every
-/// base entry is final before a derived entry reads it), so the pools
-/// never hold garbage and a finished column is value-immutable: equal
-/// columns built by the deterministic kernel are byte-equal, which is
-/// what makes structural column deduplication (LookupTable) a memcmp.
+/// By Definitions 7-11, lookup[C, m] is non-absent exactly on the
+/// down-closure of m's declarers, which on a forest is a sliver of the
+/// class range. So every page whose rows are all Absent points at one
+/// shared read-only zero page, and only pages that hold a red or blue
+/// entry are stored; a column's live pages share one allocation. A read
+/// costs one page-table load more than a dense array would.
 ///
-/// A column either *owns* its storage (the kernel build path: three
-/// vectors) or *borrows* it (the snapshot load path: three spans into a
-/// caller-provided arena, pinned by a keepalive handle). Borrowing is
-/// what makes a warm start cheap - the loader validates the arena bytes
-/// in place and never copies the table - at the cost that a borrowed
-/// column keeps its whole arena alive. Readers cannot tell the modes
-/// apart; the mutating interface is owned-mode only.
+/// Entries are written exactly once (topological order guarantees every
+/// base entry is final before a derived entry reads it), and a page goes
+/// live only when slot() is taken to write a red or blue entry into it.
+/// So the pools never hold garbage, value-equal columns built by the
+/// deterministic kernel have the same live pages with the same bytes,
+/// and structural column deduplication (LookupTable) is a memcmp of live
+/// pages.
+///
+/// A column either *owns* its pages (the kernel build path) or *borrows*
+/// them (the snapshot load path: page pointers and pool spans into a
+/// caller-provided arena, pinned by a keepalive handle; all-absent pages
+/// of the arena map to the zero page). Borrowing is what makes a warm
+/// start cheap - the loader validates the arena bytes in place and never
+/// copies the table - at the cost that a borrowed column keeps its whole
+/// arena alive. Readers cannot tell the modes apart; the mutating
+/// interface is owned-mode only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,10 +56,14 @@
 
 #include "memlook/chg/Hierarchy.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace memlook {
@@ -119,32 +135,116 @@ static_assert(std::has_unique_object_representations_v<CompactEntry>,
 static_assert(std::has_unique_object_representations_v<BlueElement>,
               "no padding: pools are hashed and compared bytewise");
 
-/// One member column in compact form: |N| fixed-size entries plus the
-/// column's overflow pools.
+/// One member column in compact form: |N| fixed-size entries in pages
+/// plus the column's overflow pools.
 class CompactColumn {
 public:
+  /// Rows per page: a page is 1.5 KB of entries.
+  static constexpr uint32_t PageRows = 64;
+
   CompactColumn() = default;
+  CompactColumn(const CompactColumn &Other) { *this = Other; }
+  CompactColumn(CompactColumn &&Other) noexcept { *this = std::move(Other); }
+  /// Moves hand the page block over; the source is left empty.
+  CompactColumn &operator=(CompactColumn &&Other) noexcept {
+    NumRows = std::exchange(Other.NumRows, 0);
+    Pages = std::exchange(Other.Pages, {});
+    Store = std::move(Other.Store);
+    StorePages = std::exchange(Other.StorePages, 0);
+    LivePages = std::exchange(Other.LivePages, {});
+    RedPool = std::exchange(Other.RedPool, {});
+    BluePool = std::exchange(Other.BluePool, {});
+    Keepalive = std::move(Other.Keepalive);
+    BorrowedRed = std::exchange(Other.BorrowedRed, {});
+    BorrowedBlue = std::exchange(Other.BorrowedBlue, {});
+    return *this;
+  }
+  /// Copies own their live pages: a copy allocates exactly them.
+  CompactColumn &operator=(const CompactColumn &Other) {
+    if (this == &Other)
+      return *this;
+    NumRows = Other.NumRows;
+    Pages = Other.Pages;
+    LivePages = Other.LivePages;
+    RedPool = Other.RedPool;
+    BluePool = Other.BluePool;
+    Keepalive = Other.Keepalive;
+    BorrowedRed = Other.BorrowedRed;
+    BorrowedBlue = Other.BorrowedBlue;
+    Store.reset();
+    StorePages = 0;
+    if (!Keepalive && !LivePages.empty()) {
+      reallocateStore(LivePages.size());
+      std::memcpy(Store.get(), Other.Store.get(),
+                  LivePages.size() * PageRows * sizeof(CompactEntry));
+    }
+    return *this;
+  }
 
-  bool empty() const { return entries().empty(); }
-  uint32_t size() const { return static_cast<uint32_t>(entries().size()); }
+  bool empty() const { return NumRows == 0; }
+  uint32_t size() const { return NumRows; }
 
-  /// (Re)initializes to \p NumClasses all-Absent entries with empty
-  /// pools, in owned mode (dropping any borrowed arena).
+  /// (Re)initializes to \p NumClasses all-Absent entries (every page the
+  /// zero page) with empty pools, in owned mode (dropping any borrowed
+  /// arena).
   void reset(uint32_t NumClasses) {
     Keepalive.reset();
-    Entries.assign(NumClasses, CompactEntry{});
+    BorrowedRed = {};
+    BorrowedBlue = {};
+    NumRows = NumClasses;
+    Pages.assign(pagesFor(NumClasses), zeroPage());
+    LivePages.clear();
     RedPool.clear();
     BluePool.clear();
   }
 
-  const CompactEntry &operator[](uint32_t Row) const { return entries()[Row]; }
+  /// Sizes the live-page allocation for \p NumPages pages, so a build
+  /// that knows which pages it will write allocates once. Owned mode
+  /// only.
+  void reservePages(uint32_t NumPages) {
+    if (NumPages > StorePages)
+      reallocateStore(NumPages);
+  }
 
-  /// Mutable slot access for the kernel. An entry must be written (via
-  /// setRed/setBlue, or left Absent) exactly once. Owned mode only.
+  const CompactEntry &operator[](uint32_t Row) const {
+    return Pages[Row / PageRows][Row % PageRows];
+  }
+
+  /// Mutable slot access for the kernel, which takes it only to write a
+  /// red or blue entry (via setRed/setBlue) exactly once. Makes the
+  /// row's page live on first use. Owned mode only.
   CompactEntry &slot(uint32_t Row) {
     assert(!Keepalive && "borrowed columns are immutable");
-    return Entries[Row];
+    assert(Row < NumRows && "row out of range");
+    const CompactEntry *&Page = Pages[Row / PageRows];
+    if (Page == zeroPage()) {
+      if (LivePages.size() == StorePages)
+        reallocateStore(std::max<size_t>(2 * StorePages, 1));
+      CompactEntry *Fresh = Store.get() + LivePages.size() * PageRows;
+      std::uninitialized_fill_n(Fresh, PageRows, CompactEntry{});
+      LivePages.push_back(Row / PageRows);
+      Page = Fresh;
+    }
+    return Store[size_t(Page - Store.get()) + Row % PageRows];
   }
+
+  //===--------------------------------------------------------------------===
+  // Pages
+  //===--------------------------------------------------------------------===
+
+  uint32_t numPages() const { return static_cast<uint32_t>(Pages.size()); }
+
+  /// The rows of page \p P (PageRows of them, fewer on the last page).
+  std::span<const CompactEntry> page(uint32_t P) const {
+    return {Pages[P], std::min(PageRows, NumRows - P * PageRows)};
+  }
+
+  /// False iff page \p P is the shared zero page (all rows Absent).
+  bool pageLive(uint32_t P) const { return Pages[P] != zeroPage(); }
+
+  /// The one read-only all-Absent page every column's absent pages
+  /// point at.
+  static const CompactEntry *zeroPage() { return ZeroPage; }
 
   //===--------------------------------------------------------------------===
   // Red member set (singleton inlined, larger sets pooled)
@@ -219,44 +319,57 @@ public:
   // Raw storage access (snapshot persistence)
   //===--------------------------------------------------------------------===
 
-  /// The serializer's view of the column: the exact POD arrays, no
-  /// interpretation. Entries/pool elements have unique object
-  /// representations (static_asserts above), so writing these bytes and
-  /// reading them back reconstructs a value-equal column.
-  std::span<const CompactEntry> rawEntries() const { return entries(); }
+  /// The serializer's view of the pools: the exact POD arrays, no
+  /// interpretation (entries are read page by page through page()).
+  /// Entries and pool elements have unique object representations
+  /// (static_asserts above), so writing these bytes and reading them
+  /// back reconstructs a value-equal column.
   std::span<const ClassId> rawRedPool() const { return redPool(); }
   std::span<const BlueElement> rawBluePool() const { return bluePool(); }
 
-  /// Adopts pre-built storage wholesale - a snapshot loader entry
+  /// Adopts a dense entry array and pools - a snapshot loader entry
   /// point, after it has bounds-checked and semantically validated every
   /// entry against the hierarchy (CompactColumn itself cannot: validity
   /// of offsets is checkable here, but Via links and kinds only make
-  /// sense against the CHG, which a column does not hold).
-  static CompactColumn fromRaw(std::vector<CompactEntry> Entries,
+  /// sense against the CHG, which a column does not hold). The entries
+  /// are copied into pages; all-absent pages become the zero page.
+  static CompactColumn fromRaw(std::span<const CompactEntry> Entries,
                                std::vector<ClassId> RedPool,
                                std::vector<BlueElement> BluePool) {
     CompactColumn Col;
-    Col.Entries = std::move(Entries);
+    Col.reset(static_cast<uint32_t>(Entries.size()));
+    for (uint32_t P = 0; P != Col.numPages(); ++P) {
+      std::span<const CompactEntry> Rows = pageOf(Entries, P);
+      if (!allAbsent(Rows))
+        std::copy(Rows.begin(), Rows.end(), &Col.slot(P * PageRows));
+    }
     Col.RedPool = std::move(RedPool);
     Col.BluePool = std::move(BluePool);
+    Col.shrinkToFit();
     return Col;
   }
 
-  /// Borrows pre-validated storage in place: the spans must point into
-  /// memory that \p Keepalive pins for at least the column's lifetime
-  /// (the snapshot loader passes slices of the snapshot's own byte
-  /// buffer, so a warm start never copies the table). The same
-  /// validation obligations as fromRaw() apply, plus alignment: every
-  /// span must be aligned for its element type - the snapshot format
-  /// guarantees this by padding sections to 8 bytes, and the loader
-  /// re-checks it at runtime before borrowing.
+  /// Borrows pre-validated dense storage in place: the spans must point
+  /// into memory that \p Keepalive pins for at least the column's
+  /// lifetime (the snapshot loader passes slices of the snapshot's own
+  /// byte buffer, so a warm start never copies the table). Each page
+  /// points into \p Entries, or at the zero page when its rows are all
+  /// Absent. The same validation obligations as fromRaw() apply, plus
+  /// alignment: every span must be aligned for its element type - the
+  /// snapshot format guarantees this by padding sections to 8 bytes, and
+  /// the loader re-checks it at runtime before borrowing.
   static CompactColumn fromBorrowed(std::shared_ptr<const void> Keepalive,
                                     std::span<const CompactEntry> Entries,
                                     std::span<const ClassId> RedPool,
                                     std::span<const BlueElement> BluePool) {
     CompactColumn Col;
+    Col.NumRows = static_cast<uint32_t>(Entries.size());
+    Col.Pages.resize(pagesFor(Col.NumRows));
+    for (uint32_t P = 0; P != Col.numPages(); ++P) {
+      std::span<const CompactEntry> Rows = pageOf(Entries, P);
+      Col.Pages[P] = allAbsent(Rows) ? zeroPage() : Rows.data();
+    }
     Col.Keepalive = std::move(Keepalive);
-    Col.BorrowedEntries = Entries;
     Col.BorrowedRed = RedPool;
     Col.BorrowedBlue = BluePool;
     return Col;
@@ -269,26 +382,33 @@ public:
   // Footprint, hashing, equality
   //===--------------------------------------------------------------------===
 
-  /// Trims pool capacity to size. Called once a column is finished so
-  /// heapBytes() reports the exact long-lived footprint, not growth
-  /// slack. No-op for borrowed columns.
-  void shrinkPools() {
+  /// Trims the live-page allocation and the pools to their size. Called
+  /// once a column is finished so heapBytes() reports the exact
+  /// long-lived footprint, not growth slack. No-op for borrowed columns.
+  void shrinkToFit() {
+    if (Keepalive)
+      return;
+    if (StorePages != LivePages.size())
+      reallocateStore(LivePages.size());
+    LivePages.shrink_to_fit();
     RedPool.shrink_to_fit();
     BluePool.shrink_to_fit();
   }
 
-  /// Exact heap footprint of this column: owned capacities (capacity is
-  /// what the allocator actually holds), or the borrowed slices' bytes -
-  /// the column's share of its arena. Shares of one arena never overlap,
-  /// so summing heapBytes() over a loaded table counts each arena byte
-  /// at most once (arena slack, e.g. section padding, is not billed to
-  /// any column).
+  /// Exact heap footprint of this column: the page table plus owned
+  /// capacities (capacity is what the allocator actually holds), or the
+  /// borrowed slices' bytes - the column's share of its arena. Shares of
+  /// one arena never overlap, so summing heapBytes() over a loaded table
+  /// counts each arena byte at most once (arena slack, e.g. section
+  /// padding, is not billed to any column).
   uint64_t heapBytes() const {
+    uint64_t Bytes = uint64_t(Pages.capacity()) * sizeof(Pages[0]);
     if (Keepalive)
-      return uint64_t(BorrowedEntries.size_bytes()) +
+      return Bytes + uint64_t(NumRows) * sizeof(CompactEntry) +
              uint64_t(BorrowedRed.size_bytes()) +
              uint64_t(BorrowedBlue.size_bytes());
-    return uint64_t(Entries.capacity()) * sizeof(CompactEntry) +
+    return Bytes + uint64_t(StorePages) * PageRows * sizeof(CompactEntry) +
+           uint64_t(LivePages.capacity()) * sizeof(uint32_t) +
            uint64_t(RedPool.capacity()) * sizeof(ClassId) +
            uint64_t(BluePool.capacity()) * sizeof(BlueElement);
   }
@@ -314,44 +434,57 @@ public:
 
   PoolStats poolStats() const {
     PoolStats S;
-    for (const CompactEntry &E : entries()) {
-      if (E.kind() == EntryKind::Red)
-        ++(E.PoolCount == 0 ? S.InlineRedEntries : S.OverflowRedEntries);
-      else if (E.kind() == EntryKind::Blue)
-        ++S.BlueEntries;
+    for (uint32_t P = 0; P != numPages(); ++P) {
+      if (!pageLive(P))
+        continue;
+      for (const CompactEntry &E : page(P)) {
+        if (E.kind() == EntryKind::Red)
+          ++(E.PoolCount == 0 ? S.InlineRedEntries : S.OverflowRedEntries);
+        else if (E.kind() == EntryKind::Blue)
+          ++S.BlueEntries;
+      }
     }
     S.RedPoolElements = redPool().size();
     S.BluePoolElements = bluePool().size();
     return S;
   }
 
-  /// FNV-1a folded eight bytes at a time over the entry array and both
-  /// pools. Sound as a structural hash because entries and pool
-  /// elements have unique object representations (static_asserts above)
-  /// and the kernel writes columns deterministically, so value-equal
-  /// columns are byte-equal. The word-wide fold matters: the hash runs
-  /// over every finished column at tabulation time; a byte-serial
-  /// multiply chain was a measurable slice of build time. The hash is an
+  /// FNV-1a folded eight bytes at a time over the row count, each live
+  /// page's index and rows, and both pools. Zero pages cost nothing, so
+  /// hashing a forest column reads only the pages its member reaches.
+  /// Sound as a structural hash because entries and pool elements have
+  /// unique object representations (static_asserts above) and the
+  /// kernel writes columns deterministically, so value-equal columns
+  /// have the same live pages with the same bytes. The hash is an
   /// in-process dedup key, not a wire value - structural dedup
-  /// byte-compares columns before aliasing them - so changing the fold
-  /// width is safe.
+  /// byte-compares columns before aliasing them, and the snapshot
+  /// format stores its own hash of the dense column.
   uint64_t structuralHash() const {
     uint64_t Hsh = 0xcbf29ce484222325ULL;
-    auto Mix = [&Hsh](const void *Data, size_t Bytes) {
-      const auto *P = static_cast<const unsigned char *>(Data);
+    auto MixWord = [&Hsh](uint64_t Word) {
+      Hsh = (Hsh ^ Word) * 0x100000001b3ULL;
+    };
+    auto Mix = [&](const void *Data, size_t Bytes) {
+      const auto *Ptr = static_cast<const unsigned char *>(Data);
       size_t I = 0;
       for (; I + 8 <= Bytes; I += 8) {
         uint64_t Word;
-        std::memcpy(&Word, P + I, 8);
-        Hsh = (Hsh ^ Word) * 0x100000001b3ULL;
+        std::memcpy(&Word, Ptr + I, 8);
+        MixWord(Word);
       }
       for (; I != Bytes; ++I)
-        Hsh = (Hsh ^ P[I]) * 0x100000001b3ULL;
+        MixWord(Ptr[I]);
     };
-    std::span<const CompactEntry> Es = entries();
+    MixWord(NumRows);
+    for (uint32_t P = 0; P != numPages(); ++P) {
+      if (!pageLive(P))
+        continue;
+      MixWord(P);
+      std::span<const CompactEntry> Rows = page(P);
+      Mix(Rows.data(), Rows.size_bytes());
+    }
     std::span<const ClassId> Rs = redPool();
     std::span<const BlueElement> Bs = bluePool();
-    Mix(Es.data(), Es.size_bytes());
     Mix(Rs.data(), Rs.size_bytes());
     Mix(Bs.data(), Bs.size_bytes());
     return Hsh;
@@ -363,18 +496,63 @@ public:
              (X.empty() ||
               std::memcmp(X.data(), Y.data(), X.size_bytes()) == 0);
     };
-    return BytesEqual(A.entries(), B.entries()) &&
-           BytesEqual(A.redPool(), B.redPool()) &&
+    if (A.NumRows != B.NumRows)
+      return false;
+    for (uint32_t P = 0; P != A.numPages(); ++P)
+      if (A.Pages[P] != B.Pages[P] && !BytesEqual(A.page(P), B.page(P)))
+        return false;
+    return BytesEqual(A.redPool(), B.redPool()) &&
            BytesEqual(A.bluePool(), B.bluePool());
   }
 
 private:
-  // Read accessors resolve the storage mode once; everything public
+  static constexpr CompactEntry ZeroPage[PageRows] = {};
+
+  static size_t pagesFor(uint32_t Rows) {
+    return (size_t(Rows) + PageRows - 1) / PageRows;
+  }
+
+  /// Page \p P's slice of a dense entry array.
+  static std::span<const CompactEntry>
+  pageOf(std::span<const CompactEntry> Entries, uint32_t P) {
+    size_t First = size_t(P) * PageRows;
+    return Entries.subspan(First,
+                           std::min<size_t>(PageRows, Entries.size() - First));
+  }
+
+  static bool allAbsent(std::span<const CompactEntry> Rows) {
+    return std::memcmp(Rows.data(), ZeroPage, Rows.size_bytes()) == 0;
+  }
+
+  /// Resizes the live-page allocation to \p NumPages pages (at least
+  /// the live ones) and re-points the page table at it. realloc shrinks
+  /// in place, so trimming a finished column copies nothing; entries are
+  /// trivially copyable, so moving them bytewise is sound.
+  void reallocateStore(size_t NumPages) {
+    assert(!Keepalive && "borrowed columns are immutable");
+    assert(NumPages >= LivePages.size() && "dropping live pages");
+    if (NumPages == 0) {
+      Store.reset();
+    } else {
+      void *Raw = std::realloc(Store.get(),
+                               NumPages * PageRows * sizeof(CompactEntry));
+      if (!Raw)
+        throw std::bad_alloc();
+      (void)Store.release(); // realloc took ownership of the old block
+      Store.reset(static_cast<CompactEntry *>(Raw));
+    }
+    StorePages = NumPages;
+    for (size_t Slot = 0; Slot != LivePages.size(); ++Slot)
+      Pages[LivePages[Slot]] = Store.get() + Slot * PageRows;
+  }
+
+  struct FreeStore {
+    void operator()(CompactEntry *Block) const { std::free(Block); }
+  };
+
+  // Pool read accessors resolve the storage mode once; everything public
   // reads through these, so owned and borrowed columns are
   // indistinguishable to readers.
-  std::span<const CompactEntry> entries() const {
-    return Keepalive ? BorrowedEntries : std::span<const CompactEntry>(Entries);
-  }
   std::span<const ClassId> redPool() const {
     return Keepalive ? BorrowedRed : std::span<const ClassId>(RedPool);
   }
@@ -382,15 +560,22 @@ private:
     return Keepalive ? BorrowedBlue : std::span<const BlueElement>(BluePool);
   }
 
-  // Owned storage (empty in borrowed mode).
-  std::vector<CompactEntry> Entries;
+  uint32_t NumRows = 0;
+  /// One pointer per page: into Store (owned), into the arena
+  /// (borrowed), or the zero page.
+  std::vector<const CompactEntry *> Pages;
+  // Owned storage (empty in borrowed mode): one malloc'd block of
+  // StorePages pages whose first LivePages.size() slots hold the live
+  // pages, in the order they went live; slot K holds page LivePages[K].
+  std::unique_ptr<CompactEntry[], FreeStore> Store;
+  size_t StorePages = 0;
+  std::vector<uint32_t> LivePages;
   std::vector<ClassId> RedPool;
   std::vector<BlueElement> BluePool;
-  // Borrowed storage: views into an arena Keepalive pins. Non-null
-  // Keepalive is what "borrowed mode" means; default copy/move keep the
-  // views valid because they alias the arena, never this object.
+  // Borrowed storage: non-null Keepalive is what "borrowed mode" means;
+  // it pins the arena the page pointers and pool views alias, so moves
+  // and copies keep them valid.
   std::shared_ptr<const void> Keepalive;
-  std::span<const CompactEntry> BorrowedEntries;
   std::span<const ClassId> BorrowedRed;
   std::span<const BlueElement> BorrowedBlue;
 };

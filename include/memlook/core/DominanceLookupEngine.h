@@ -185,7 +185,10 @@ public:
 
   /// Operation counters for the complexity-validation benchmarks.
   struct Stats {
-    uint64_t EntriesComputed = 0;   ///< table slots filled (incl. Absent)
+    /// computeEntry calls: Absent slots count where a walk visits them
+    /// (the engine's own walks do; ParallelTabulator's sparse walk
+    /// visits only non-absent rows).
+    uint64_t EntriesComputed = 0;
     uint64_t DominanceTests = 0;    ///< Lemma 4 element tests performed
     uint64_t BlueElementsMoved = 0; ///< blue elements composed across edges
 
@@ -211,8 +214,10 @@ public:
   /// Computes the single entry lookup[C, \p Member] into \p Column,
   /// assuming the entries of every direct base of C are final (i.e. C's
   /// predecessors in topological order were computed first). Writes the
-  /// compact slot directly; per-call heap churn is absorbed by a
-  /// thread_local scratch, so worker threads each reuse their own.
+  /// compact slot directly, and takes it only for a red or blue entry, so
+  /// an Absent row leaves its page on the zero page; per-call heap churn
+  /// is absorbed by a thread_local scratch, so worker threads each reuse
+  /// their own.
   static void computeEntry(const Hierarchy &H, CompactColumn &Column,
                            ClassId C, Symbol Member, Stats &S);
 

@@ -15,23 +15,41 @@
 /// build parallelizes across |M| with no synchronization inside the
 /// kernel at all.
 ///
+/// Each column is tabulated sparsely. By Definitions 7-11, lookup[C, m]
+/// is non-absent exactly when C lies in the down-closure of the classes
+/// that declare m (Hierarchy::declarers, using-declarations included),
+/// and Figure 8 reads only a row's direct bases. So a worker marks that
+/// down-closure and computes just those rows, in topological order; every
+/// other row is Absent and stays on the shared zero page of the paged
+/// column (CompactColumn.h). While the closure is small, the worker
+/// walks DirectDerived from the declarers and sorts the marked rows by
+/// topoIndex. Once it grows past the point where k log k sorting costs
+/// more than a scan, the worker scans topologicalOrder() instead and
+/// marks a row when one of its direct bases is marked. Both give the
+/// same rows in the same order, so the choice never shows in the output.
+/// On a forest a column's closure is a few dozen rows of thousands; on a
+/// dense DAG it is most of them, and the scan costs what a dense walk
+/// does.
+///
 /// The tabulator drives DominanceLookupEngine::computeEntry - the same
 /// statically-exposed kernel the serial engine runs, not a copy - and
-/// publishes the *compact* column (CompactColumn.h) directly. Answers
-/// are materialized on read by entryToResult, so a parallel build is
-/// entry-for-entry identical to a serial one (the differential tests
-/// pin this) while the stored table is just the POD entry array plus
-/// overflow pools.
+/// publishes the *compact* column directly. Answers are materialized on
+/// read by entryToResult, so a parallel build is entry-for-entry
+/// identical to a serial dense one (the differential tests pin this)
+/// while the stored table is just the live pages plus overflow pools.
 ///
 /// Deadline cooperation mirrors the serial engine: each worker consults
-/// the shared Deadline every DominanceLookupEngine::DeadlineStride
-/// entries, and expiry is published through a shared sticky flag so the
-/// remaining workers stop within one stride. A column interrupted by
-/// expiry still holds a *valid topological prefix* - every computed
+/// the shared Deadline every DominanceLookupEngine::DeadlineStride rows
+/// it visits, counted across its columns, and expiry is published
+/// through a shared sticky flag so the remaining workers stop within one
+/// stride. A column interrupted by expiry still holds a *valid prefix*:
+/// a topological prefix of the class order, or, for a small closure, the
+/// rows outside it (marked known-Absent once the pre-expiry check has
+/// passed) plus a topological prefix of the closure. Every computed
 /// entry is final and correct, because entries only ever read entries
-/// of base classes, which topological order put earlier. Partial
-/// columns carry a per-row Computed bitmap so callers can either use
-/// the prefix or discard the column wholesale.
+/// of base classes, and the rows outside the closure are closed under
+/// taking bases. Partial columns carry a per-row Computed bitmap so
+/// callers can either use the prefix or discard the column wholesale.
 ///
 /// Columns are produced as shared_ptr<const Column> deliberately: the
 /// service layer's incremental rewarming shares unaffected columns
@@ -63,12 +81,12 @@ public:
   /// Overrides is exactly the deterministic kernel's output, which is
   /// what makes structural dedup (LookupTable) sound.
   struct Column {
-    /// The compact entry array plus overflow pools; the answer for a
+    /// The paged compact entries plus overflow pools; the answer for a
     /// class is materialized on read by resultFor().
     CompactColumn Data;
     /// Data[i] is meaningful iff Computed.test(i). All-ones exactly
-    /// when Complete; a deadline-interrupted column holds the computed
-    /// topological prefix of the class order.
+    /// when Complete; in a deadline-interrupted column no computed row
+    /// sits above an uncomputed base (see the file comment).
     BitVector Computed;
     bool Complete = false;
     /// Row-level answer replacements consulted before Data - the

@@ -309,6 +309,10 @@ struct ServiceStats {
   /// Column pointers unified by structural dedup across all table
   /// builds and rewarms (byte-identical columns stored once).
   uint64_t ColumnsDeduped = 0;
+  /// Figure 8 entries computed across all table builds and rewarms (the
+  /// sum of BuildStats::Tabulation.EntriesComputed): a count of the
+  /// tabulation work that does not depend on host speed.
+  uint64_t TableEntriesComputed = 0;
   /// Exact heap bytes of the *current* snapshot's table (0 when cold) -
   /// a gauge sampled at stats() time, not a monotone counter.
   uint64_t TableHeapBytes = 0;
@@ -688,6 +692,10 @@ private:
   /// nothing to retire).
   void adoptInitial(std::shared_ptr<const Snapshot> Snap);
 
+  /// Adds a freshly built, rewarmed or loaded table's build counters
+  /// (dedup, entries computed) to the service totals; null is a no-op.
+  void noteTableBuilt(const LookupTable *Table);
+
   /// Serializes writers (commit, warm, audit-rebuild, corrupt-hook,
   /// snapshot save + log compaction). Mutable because saveSnapshot()
   /// is logically const but must fence the log against racing commits.
@@ -707,9 +715,10 @@ private:
       NumCommitConflicts{0}, NumAbortedTxns{0}, NumAudits{0},
       NumAuditMismatches{0}, NumQuarantines{0}, NumTableRebuilds{0},
       NumIncrementalRewarms{0}, NumColumnsShared{0}, NumColumnsRetabulated{0},
-      NumColumnsDeduped{0}, NumSnapshotSaves{0}, NumSnapshotRestores{0},
-      NumSnapshotQuarantines{0}, NumWalAppends{0}, NumWalBytesAppended{0},
-      NumWalResets{0}, NumWalReplayedRecords{0}, NumWalQuarantines{0};
+      NumColumnsDeduped{0}, NumTableEntriesComputed{0}, NumSnapshotSaves{0},
+      NumSnapshotRestores{0}, NumSnapshotQuarantines{0}, NumWalAppends{0},
+      NumWalBytesAppended{0}, NumWalResets{0}, NumWalReplayedRecords{0},
+      NumWalQuarantines{0};
 
   /// Read-side counters, bumped on every query by every reader thread -
   /// sharded so counting does not ping-pong cache lines between

@@ -228,9 +228,9 @@ public:
     uint32_t Col = columnIndexFor(Member);
     if (Col == NoColumn)
       return;
-    std::span<const CompactEntry> Entries = Columns[Col]->Data.rawEntries();
-    if (Context.rawValue() < Entries.size())
-      MEMLOOK_PREFETCH(Entries.data() + Context.rawValue());
+    const CompactColumn &Data = Columns[Col]->Data;
+    if (Context.rawValue() < Data.size())
+      MEMLOOK_PREFETCH(&Data[Context.rawValue()]);
   }
 
   /// Number of tabulated entry slots across all columns (shared columns

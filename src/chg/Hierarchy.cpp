@@ -217,17 +217,21 @@ bool Hierarchy::finalize(DiagnosticEngine &Diags) {
       }
 
   // Collect the program's distinct member names |M| in first-declaration
-  // order (deterministic: class creation order, then declaration order).
-  std::vector<bool> Seen(Names.size(), false);
+  // order (deterministic: class creation order, then declaration order),
+  // and index each name's declaring classes by counting sort.
+  DeclarerOffsets.assign(Names.size() + 1, 0);
   for (const ClassInfo &Info : Classes)
-    for (const MemberDecl &Member : Info.Members) {
-      if (Member.Name.index() < Seen.size() && Seen[Member.Name.index()])
-        continue;
-      if (Member.Name.index() >= Seen.size())
-        Seen.resize(Member.Name.index() + 1, false);
-      Seen[Member.Name.index()] = true;
-      MemberNames.push_back(Member.Name);
-    }
+    for (const MemberDecl &Member : Info.Members)
+      if (DeclarerOffsets[Member.Name.index() + 1]++ == 0)
+        MemberNames.push_back(Member.Name);
+  for (size_t S = 1; S != DeclarerOffsets.size(); ++S)
+    DeclarerOffsets[S] += DeclarerOffsets[S - 1];
+  Declarers.resize(NumMemberDecls);
+  std::vector<uint32_t> Fill(DeclarerOffsets.begin(),
+                             DeclarerOffsets.end() - 1);
+  for (uint32_t C = 0; C != N; ++C)
+    for (const MemberDecl &Member : Classes[C].Members)
+      Declarers[Fill[Member.Name.index()]++] = ClassId(C);
 
   Finalized = true;
   return true;
@@ -348,6 +352,7 @@ size_t Hierarchy::heapBytes() const {
   auto VecBytes = [](const auto &V) { return V.capacity() * sizeof(V[0]); };
   size_t Bytes = Names.heapBytes() + VecBytes(Classes) + VecBytes(TopoOrder) +
                  VecBytes(TopoIndex) + VecBytes(MemberNames) +
+                 VecBytes(DeclarerOffsets) + VecBytes(Declarers) +
                  VecBytes(VirtualRank) + VecBytes(VirtualBaseClasses) +
                  VirtualClosure.heapBytes();
   for (const ClassInfo &Info : Classes)

@@ -113,7 +113,9 @@ void DominanceLookupEngine::computeEntry(const Hierarchy &H,
                                          CompactColumn &Column, ClassId C,
                                          Symbol Member, Stats &S) {
   ++S.EntriesComputed;
-  CompactEntry &Out = Column.slot(C.index());
+  // The slot is taken only to write a red or blue entry, so an Absent
+  // row never makes its page live.
+  uint32_t Row = C.index();
 
   auto IsStaticIn = [&](ClassId L) {
     const MemberDecl *Decl = H.declaredMember(L, Member);
@@ -124,8 +126,8 @@ void DominanceLookupEngine::computeEntry(const Hierarchy &H,
   // reaches C (it hides every inherited definition).
   if (const MemberDecl *Decl = H.declaredMember(C, Member)) {
     const ClassId Omega[1] = {ClassId()};
-    Column.setRed(Out, C, Omega, ClassId(), ClassId(), Decl->Access,
-                  /*StaticMerged=*/false);
+    Column.setRed(Column.slot(Row), C, Omega, ClassId(), ClassId(),
+                  Decl->Access, /*StaticMerged=*/false);
     return;
   }
 
@@ -268,7 +270,7 @@ void DominanceLookupEngine::computeEntry(const Hierarchy &H,
 
   if (!CandPresent) {
     // Lines [34]-[35].
-    Column.setBlue(Out, ToBeDominated);
+    Column.setBlue(Column.slot(Row), ToBeDominated);
     return;
   }
 
@@ -290,15 +292,15 @@ void DominanceLookupEngine::computeEntry(const Hierarchy &H,
 
   if (Surviving.empty()) {
     std::sort(CandVs.begin(), CandVs.end());
-    Column.setRed(Out, CandL, CandVs, CandRepV, CandVia, CandAccess,
-                  CandStaticMerged);
+    Column.setRed(Column.slot(Row), CandL, CandVs, CandRepV, CandVia,
+                  CandAccess, CandStaticMerged);
   } else {
     for (ClassId V : CandVs)
       Surviving.push_back(BlueElement{V, CandL});
     std::sort(Surviving.begin(), Surviving.end());
     Surviving.erase(std::unique(Surviving.begin(), Surviving.end()),
                     Surviving.end());
-    Column.setBlue(Out, Surviving);
+    Column.setBlue(Column.slot(Row), Surviving);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 using namespace memlook;
 
@@ -36,9 +37,96 @@ uint64_t ParallelTabulator::Column::heapBytes() const {
 
 namespace {
 
+/// Per-worker scratch of the sparse walk, reused across the columns a
+/// worker tabulates: one mark per class and per page (all clear between
+/// columns), the rows of the current column, a DFS stack, and the rows
+/// visited since the last deadline check - counted across columns,
+/// because a forest column can be shorter than a stride.
+struct WalkScratch {
+  std::vector<uint8_t> Marked;
+  std::vector<uint8_t> PageMarked;
+  std::vector<ClassId> Rows;
+  std::vector<ClassId> Stack;
+  uint32_t SinceCheck = 0;
+};
+
+WalkScratch &walkScratch(uint32_t NumClasses) {
+  thread_local WalkScratch W;
+  if (W.Marked.size() < NumClasses) {
+    W.Marked.resize(NumClasses, 0);
+    W.PageMarked.resize(NumClasses / CompactColumn::PageRows + 1, 0);
+  }
+  return W;
+}
+
+/// Marks \p Member's declarers and walks DirectDerived from them, for as
+/// long as the down-closure stays small enough that sorting it by
+/// topoIndex (k log k) beats scanning all of topologicalOrder().
+///
+/// Returns true when the whole closure - the rows of lookup[*, Member]
+/// that are not Absent - was collected: \p W.Rows then holds it in
+/// topological order, and every mark is clear again. Returns false when
+/// the closure outgrew the budget: the marked rows are then a part of
+/// the closure that includes every declarer, and the caller completes
+/// the marking while it scans topologicalOrder() and clears the marks.
+/// Both ways visit the same rows in the same order.
+bool collectSmallClosure(const Hierarchy &H, Symbol Member, WalkScratch &W) {
+  auto Small = [&H](size_t K) {
+    return K * std::bit_width(K) < H.numClasses();
+  };
+  W.Rows.clear();
+  W.Stack.clear();
+  for (ClassId D : H.declarers(Member)) {
+    W.Marked[D.index()] = 1;
+    W.Rows.push_back(D);
+    W.Stack.push_back(D);
+  }
+  while (!W.Stack.empty() && Small(W.Rows.size())) {
+    ClassId C = W.Stack.back();
+    W.Stack.pop_back();
+    for (ClassId Derived : H.info(C).DirectDerived)
+      if (!W.Marked[Derived.index()]) {
+        W.Marked[Derived.index()] = 1;
+        W.Rows.push_back(Derived);
+        W.Stack.push_back(Derived);
+      }
+  }
+  if (!Small(W.Rows.size()))
+    return false;
+
+  std::sort(W.Rows.begin(), W.Rows.end(), [&H](ClassId A, ClassId B) {
+    return H.topoIndex(A) < H.topoIndex(B);
+  });
+  for (ClassId C : W.Rows)
+    W.Marked[C.index()] = 0;
+  return true;
+}
+
+/// The number of distinct pages \p Rows fall on.
+uint32_t countPages(const std::vector<ClassId> &Rows, WalkScratch &W) {
+  uint32_t Pages = 0;
+  for (ClassId C : Rows) {
+    uint8_t &Mark = W.PageMarked[C.index() / CompactColumn::PageRows];
+    Pages += Mark == 0;
+    Mark = 1;
+  }
+  for (ClassId C : Rows)
+    W.PageMarked[C.index() / CompactColumn::PageRows] = 0;
+  return Pages;
+}
+
 /// Computes one member column start to finish in compact form. Runs on
-/// a worker thread; touches only \p Out, \p S and the shared expiry
-/// flag - the hierarchy is immutable input.
+/// a worker thread; touches only \p Out, \p S, the worker's scratch and
+/// the shared expiry flag - the hierarchy is immutable input.
+///
+/// Only the down-closure of the member's declarers is computed, in
+/// topological order; every other row is known Absent and stays on the
+/// zero page. A small closure is collected and sorted first; its other
+/// rows are marked computed only after the pre-expiry check, and they
+/// are closed under taking bases. A large closure is marked during one
+/// scan of the topological order, which computes a topological prefix.
+/// Either way a column cut short by the deadline holds no computed row
+/// above an uncomputed base.
 void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
                     std::atomic<bool> &ExpiredFlag,
                     ParallelTabulator::Column &Out,
@@ -52,27 +140,58 @@ void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
   if (ExpiredFlag.load(std::memory_order_relaxed))
     return; // pre-expired: publish an empty (all-uncomputed) column
 
+  // One worker's expiry stops the others within a stride: the flag is
+  // sticky and checked before the (possibly syscall-priced) clock read.
+  WalkScratch &W = walkScratch(NumClasses);
   bool CheckDeadline = !D.unlimited();
-  uint32_t SinceCheck = 0;
-
-  for (ClassId C : H.topologicalOrder()) {
-    if (CheckDeadline && ++SinceCheck % Engine::DeadlineStride == 0) {
-      // One worker's expiry stops the others within a stride: the flag
-      // is sticky and checked before the (possibly syscall-priced)
-      // clock read.
-      if (ExpiredFlag.load(std::memory_order_relaxed) || D.expired()) {
-        ExpiredFlag.store(true, std::memory_order_relaxed);
-        return; // the computed topological prefix stays valid
-      }
+  auto Expired = [&] {
+    if (!CheckDeadline || ++W.SinceCheck % Engine::DeadlineStride != 0)
+      return false;
+    if (ExpiredFlag.load(std::memory_order_relaxed) || D.expired()) {
+      ExpiredFlag.store(true, std::memory_order_relaxed);
+      return true;
     }
-    Engine::computeEntry(H, Out.Data, C, Member, S);
-    Out.Computed.set(C.index());
+    return false;
+  };
+
+  if (collectSmallClosure(H, Member, W)) {
+    Out.Data.reservePages(countPages(W.Rows, W));
+    Out.Computed.setAll();
+    for (ClassId C : W.Rows)
+      Out.Computed.reset(C.index());
+    for (ClassId C : W.Rows) {
+      if (Expired())
+        return;
+      Engine::computeEntry(H, Out.Data, C, Member, S);
+      Out.Computed.set(C.index());
+    }
+  } else {
+    Out.Data.reservePages(Out.Data.numPages());
+    bool Stopped = false;
+    for (ClassId C : H.topologicalOrder()) {
+      if (Expired()) {
+        Stopped = true;
+        break;
+      }
+      uint8_t &Mark = W.Marked[C.index()];
+      for (const BaseSpecifier &Spec : H.info(C).DirectBases) {
+        if (Mark)
+          break;
+        Mark = W.Marked[Spec.Base.index()];
+      }
+      if (Mark)
+        Engine::computeEntry(H, Out.Data, C, Member, S);
+      Out.Computed.set(C.index());
+    }
+    std::fill_n(W.Marked.begin(), NumClasses, 0);
+    if (Stopped)
+      return;
   }
   Out.Complete = true;
   // Finished columns are long-lived (shared across epochs); drop the
-  // pools' growth slack so heapBytes() is the real footprint, and hash
-  // once so structural dedup never re-reads a shared column's bytes.
-  Out.Data.shrinkPools();
+  // growth slack so heapBytes() is the real footprint, and hash once so
+  // structural dedup never re-reads a shared column's bytes.
+  Out.Data.shrinkToFit();
   Out.StructuralHash = Out.Data.structuralHash();
 }
 

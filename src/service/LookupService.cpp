@@ -95,9 +95,7 @@ LookupService::LookupService(Hierarchy Initial, ServiceOptions Options)
   if (Opts.WarmOnCommit) {
     Deadline BuildDeadline = warmDeadline();
     Snap->Table = LookupTable::build(*Snap->H, BuildDeadline, Opts.WarmThreads);
-    if (Snap->Table)
-      NumColumnsDeduped.fetch_add(Snap->Table->buildStats().ColumnsDeduped,
-                                  std::memory_order_relaxed);
+    noteTableBuilt(Snap->Table.get());
   }
   if (!Opts.WalPath.empty()) {
     // A fresh service is a fresh history: start the log at epoch 1.
@@ -137,9 +135,7 @@ LookupService::LookupService(RestoreTag, uint64_t Epoch,
   if (!Snap->Table && Opts.WarmOnCommit)
     Snap->Table = LookupTable::build(*Snap->H, warmDeadline(),
                                      Opts.WarmThreads);
-  if (Snap->Table)
-    NumColumnsDeduped.fetch_add(Snap->Table->buildStats().ColumnsDeduped,
-                                std::memory_order_relaxed);
+  noteTableBuilt(Snap->Table.get());
   adoptInitial(std::move(Snap));
 }
 
@@ -425,6 +421,15 @@ LookupService::~LookupService() {
 std::shared_ptr<const Snapshot> LookupService::snapshot() const {
   std::lock_guard<std::mutex> Lock(SnapMutex);
   return Current;
+}
+
+void LookupService::noteTableBuilt(const LookupTable *Table) {
+  if (!Table)
+    return;
+  const LookupTable::BuildStats &B = Table->buildStats();
+  NumColumnsDeduped.fetch_add(B.ColumnsDeduped, std::memory_order_relaxed);
+  NumTableEntriesComputed.fetch_add(B.Tabulation.EntriesComputed,
+                                    std::memory_order_relaxed);
 }
 
 void LookupService::adoptInitial(std::shared_ptr<const Snapshot> Snap) {
@@ -847,8 +852,7 @@ Status LookupService::commit(const Transaction &Txn) {
                                      std::memory_order_relaxed);
           NumColumnsRetabulated.fetch_add(B.ColumnsBuilt,
                                           std::memory_order_relaxed);
-          NumColumnsDeduped.fetch_add(B.ColumnsDeduped,
-                                      std::memory_order_relaxed);
+          noteTableBuilt(Next->Table.get());
         }
       }
     }
@@ -859,9 +863,7 @@ Status LookupService::commit(const Transaction &Txn) {
     if (!Next->Table) {
       Next->Table =
           LookupTable::build(*Next->H, BuildDeadline, Opts.WarmThreads);
-      if (Next->Table)
-        NumColumnsDeduped.fetch_add(Next->Table->buildStats().ColumnsDeduped,
-                                    std::memory_order_relaxed);
+      noteTableBuilt(Next->Table.get());
     }
   }
   publish(std::move(Next));
@@ -889,9 +891,7 @@ Status LookupService::warmCurrent(const Deadline &D) {
     return Status::ok();
 
   auto Table = LookupTable::build(*Base->H, D, Opts.WarmThreads);
-  if (Table)
-    NumColumnsDeduped.fetch_add(Table->buildStats().ColumnsDeduped,
-                                std::memory_order_relaxed);
+  noteTableBuilt(Table.get());
   if (!Table)
     return Status::error(ErrorCode::DeadlineExceeded,
                          "table build missed its deadline at epoch " +
@@ -1015,9 +1015,7 @@ AuditReport LookupService::auditNow() {
     Next->H = Snap->H;
     Next->Table = LookupTable::build(*Snap->H, warmDeadline(),
                                      Opts.WarmThreads);
-    if (Next->Table)
-      NumColumnsDeduped.fetch_add(Next->Table->buildStats().ColumnsDeduped,
-                                  std::memory_order_relaxed);
+    noteTableBuilt(Next->Table.get());
     Next->RebuiltByAudit = true;
     publish(std::move(Next));
     NumTableRebuilds.fetch_add(1, std::memory_order_relaxed);
@@ -1090,6 +1088,8 @@ ServiceStats LookupService::stats() const {
   S.ColumnsRetabulated =
       NumColumnsRetabulated.load(std::memory_order_relaxed);
   S.ColumnsDeduped = NumColumnsDeduped.load(std::memory_order_relaxed);
+  S.TableEntriesComputed =
+      NumTableEntriesComputed.load(std::memory_order_relaxed);
   S.SnapshotSaves = NumSnapshotSaves.load(std::memory_order_relaxed);
   S.SnapshotRestores = NumSnapshotRestores.load(std::memory_order_relaxed);
   S.SnapshotQuarantines =

@@ -473,6 +473,8 @@ const MetricDesc Catalog[] = {
             "Columns rebuilt by rewarms."),
     COUNTER("memlook_columns_deduped_total", ColumnsDeduped,
             "Column pointers unified by structural dedup."),
+    COUNTER("memlook_table_entries_computed_total", TableEntriesComputed,
+            "Figure 8 entries computed by table builds and rewarms."),
     GAUGE("memlook_table_heap_bytes", TableHeapBytes,
           "Heap bytes of the current snapshot's table (0 when cold)."),
     GAUGE("memlook_hierarchy_heap_bytes", HierarchyHeapBytes,

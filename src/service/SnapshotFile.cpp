@@ -182,6 +182,27 @@ std::string serializeHierarchy(const Hierarchy &H, StringTableBuilder &Strings) 
   return Out;
 }
 
+/// The hash a snapshot stores with each column: FNV-1a folded eight
+/// bytes at a time over the dense entry bytes, then the red pool bytes,
+/// then the blue pool bytes, each run folding its sub-word tail bytewise.
+/// The loader does not read it back (it keys dedup by the in-memory
+/// CompactColumn::structuralHash()); it is written so that the format,
+/// and every file it produces, stays byte-identical.
+uint64_t denseColumnHash(std::initializer_list<std::string_view> Runs) {
+  uint64_t Hsh = 0xcbf29ce484222325ULL;
+  for (std::string_view Run : Runs) {
+    size_t I = 0;
+    for (; I + 8 <= Run.size(); I += 8) {
+      uint64_t Word;
+      std::memcpy(&Word, Run.data() + I, 8);
+      Hsh = (Hsh ^ Word) * 0x100000001b3ULL;
+    }
+    for (; I != Run.size(); ++I)
+      Hsh = (Hsh ^ static_cast<unsigned char>(Run[I])) * 0x100000001b3ULL;
+  }
+  return Hsh;
+}
+
 std::string serializeColumns(const Hierarchy &H, const LookupTable &Table,
                              uint32_t HierarchyCrc) {
   std::string Out;
@@ -216,19 +237,34 @@ std::string serializeColumns(const Hierarchy &H, const LookupTable &Table,
     assert(Data.size() <= H.numClasses() &&
            "column rows beyond the epoch's class count");
     (void)H;
-    std::span<const CompactEntry> Entries = Data.rawEntries();
     std::span<const ClassId> Red = Data.rawRedPool();
     std::span<const BlueElement> Blue = Data.rawBluePool();
-    putU32(Out, static_cast<uint32_t>(Entries.size()));
+    putU32(Out, Data.size());
     putU32(Out, static_cast<uint32_t>(Red.size()));
     putU32(Out, static_cast<uint32_t>(Blue.size()));
-    putU64(Out, Col->StructuralHash);
-    Out.append(reinterpret_cast<const char *>(Entries.data()),
-               Entries.size() * sizeof(CompactEntry));
-    Out.append(reinterpret_cast<const char *>(Red.data()),
-               Red.size() * sizeof(ClassId));
+    // The column is stored dense: its pages expanded in row order, zero
+    // pages included. The hash field covers exactly those bytes, so it
+    // is filled in once they are written.
+    size_t HashAt = Out.size();
+    putU64(Out, 0);
+    size_t PayloadAt = Out.size();
+    for (uint32_t P = 0; P != Data.numPages(); ++P) {
+      std::span<const CompactEntry> Rows = Data.page(P);
+      Out.append(reinterpret_cast<const char *>(Rows.data()),
+                 Rows.size_bytes());
+    }
+    size_t EntriesEnd = Out.size();
+    Out.append(reinterpret_cast<const char *>(Red.data()), Red.size_bytes());
+    size_t RedEnd = Out.size();
     Out.append(reinterpret_cast<const char *>(Blue.data()),
-               Blue.size() * sizeof(BlueElement));
+               Blue.size_bytes());
+    uint64_t Hash = denseColumnHash(
+        {{Out.data() + PayloadAt, EntriesEnd - PayloadAt},
+         {Out.data() + EntriesEnd, RedEnd - EntriesEnd},
+         {Out.data() + RedEnd, Out.size() - RedEnd}});
+    std::string Field;
+    putU64(Field, Hash);
+    Out.replace(HashAt, Field.size(), Field);
   }
 
   putU32(Out, static_cast<uint32_t>(MemberRefs.size()));
@@ -785,18 +821,12 @@ Status parseColumns(std::string_view Section, std::shared_ptr<const void> Arena,
     auto Col = std::make_shared<Column>();
     Col->Data = Borrow ? CompactColumn::fromBorrowed(Arena, Entries, RedPool,
                                                      BluePool)
-                       : CompactColumn::fromRaw(std::move(OwnedEntries),
-                                                std::move(OwnedRed),
+                       : CompactColumn::fromRaw(Entries, std::move(OwnedRed),
                                                 std::move(OwnedBlue));
-    // The stored hash is adopted as-is: it sits under the section CRC,
-    // so accidental corruption cannot reach here, and a deliberately
-    // resealed wrong hash is harmless because structural dedup treats
-    // the hash as a bucket key and byte-compares columns before ever
-    // aliasing them (Snapshot.cpp) - the worst a forged hash can do is
-    // cost a future rewarm some sharing. Recomputing it here would add
-    // a full pass over the table and was a measurable slice of warm
-    // starts.
-    Col->StructuralHash = StoredHash;
+    // The stored hash covers the dense bytes and is not read back: the
+    // dedup key is the paged hash, which reads only the live pages.
+    (void)StoredHash;
+    Col->StructuralHash = Col->Data.structuralHash();
     Col->Computed = BitVector(NumRows);
     Col->Computed.setAll();
     Col->Complete = true;
@@ -809,18 +839,12 @@ Status parseColumns(std::string_view Section, std::shared_ptr<const void> Arena,
   if (RefCount != NumMembers)
     return malformed("member reference count disagrees with the header");
 
-  // Declaration sites per member name, ascending (classes are scanned in
-  // id order). A column is correct for a member only if its local rows
-  // are exactly the member's declaration sites - kernel line [12] fires
-  // iff the class declares the member, and inherited candidates always
-  // carry a valid Via. This pins every reference to its member, so a
-  // corrupted reference cannot quietly hand one member another member's
-  // (individually well-formed) column.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> DeclSites;
-  for (uint32_t C = 0; C != NumClasses; ++C)
-    for (const MemberDecl &M : H.info(ClassId(C)).Members)
-      DeclSites[M.Name.rawValue()].push_back(C);
-
+  // A column is correct for a member only if its local rows are exactly
+  // the member's declaration sites (Hierarchy::declarers, ascending) -
+  // kernel line [12] fires iff the class declares the member, and
+  // inherited candidates always carry a valid Via. This pins every
+  // reference to its member, so a corrupted reference cannot quietly
+  // hand one member another member's (individually well-formed) column.
   std::vector<bool> Referenced(DistinctCount, false);
   Out.reserve(RefCount);
   for (uint32_t I = 0; I != RefCount; ++I) {
@@ -831,17 +855,16 @@ Status parseColumns(std::string_view Section, std::shared_ptr<const void> Arena,
       return malformed("member references a nonexistent column");
 
     Symbol Member = H.allMemberNames()[I];
-    auto SitesIt = DeclSites.find(Member.rawValue());
-    const std::vector<uint32_t> Empty;
-    const std::vector<uint32_t> &Sites =
-        SitesIt != DeclSites.end() ? SitesIt->second : Empty;
+    std::span<const ClassId> Sites = H.declarers(Member);
     // Restrict to the column's span: rewarm-shared columns may stop
     // short of declaration sites in newer classes.
-    uint32_t Span = static_cast<uint32_t>(Distinct[Ref]->numRows());
-    auto SitesEnd =
-        std::lower_bound(Sites.begin(), Sites.end(), Span);
+    ClassId Span(Distinct[Ref]->numRows());
+    auto SitesEnd = std::lower_bound(Sites.begin(), Sites.end(), Span);
     const std::vector<uint32_t> &Local = LocalRows[Ref];
-    if (!std::equal(Sites.begin(), SitesEnd, Local.begin(), Local.end()))
+    if (!std::equal(Sites.begin(), SitesEnd, Local.begin(), Local.end(),
+                    [](ClassId Site, uint32_t Row) {
+                      return Site.index() == Row;
+                    }))
       return malformed("column's local declarations disagree with member '" +
                        std::string(H.spelling(Member)) +
                        "' declaration sites");

@@ -31,6 +31,13 @@ struct InvalidCase {
   DiagCode ExpectedCode;
 };
 
+// Names the case by its file in test names; gtest would otherwise print
+// the struct's raw bytes, FileName's pointer included, so every build
+// would name the cases differently.
+void PrintTo(const InvalidCase &Case, std::ostream *OS) {
+  *OS << Case.FileName;
+}
+
 // Every file in corpus/invalid must appear here: the test cross-checks
 // the directory listing against this table so a new malformed input
 // can't land without a stated expectation.

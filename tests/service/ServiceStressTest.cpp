@@ -557,8 +557,10 @@ TEST(ServiceStressTest, DeadlineExpiryMidParallelBuildLeavesEpochCold) {
   // (cooperatively, at DeadlineStride granularity), the epoch publishes
   // cold, and queries degrade to the per-query rung - while readers
   // race the aborting builds. An explicit warmCurrent() with no
-  // deadline then warms the final epoch fully.
-  Workload W = makeModularForest(10, 3, 4, 4, 2); // 1210 classes
+  // deadline then warms the final epoch fully. Tabulation computes only
+  // the rows a member reaches, so the 400 names every root declares are
+  // what make it long: each reaches all 1210 classes, 484,000 entries.
+  Workload W = makeModularForest(10, 3, 4, 4, 400);
 
   std::vector<std::string> Classes;
   for (uint32_t Idx = 0; Idx != W.H.numClasses(); ++Idx)

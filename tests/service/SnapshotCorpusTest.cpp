@@ -32,6 +32,13 @@ struct CorpusCase {
   ErrorCode ExpectedCode;
 };
 
+// Names the case by its file in test names; gtest would otherwise print
+// the struct's raw bytes, FileName's pointer included, so every build
+// would name the cases differently.
+void PrintTo(const CorpusCase &Case, std::ostream *OS) {
+  *OS << Case.FileName;
+}
+
 // Every file in corpus/snapshots must appear here: the test cross-checks
 // the directory listing against this table so a new corrupted snapshot
 // can't land without a stated expectation.

@@ -36,6 +36,13 @@ struct CorpusCase {
   bool ExpectTornDrop;
 };
 
+// Names the case by its file in test names; gtest would otherwise print
+// the struct's raw bytes, FileName's pointer included, so every build
+// would name the cases differently.
+void PrintTo(const CorpusCase &Case, std::ostream *OS) {
+  *OS << Case.FileName;
+}
+
 // Every file in corpus/wal must appear here: the cross-check test below
 // refuses a new damaged log without a stated expectation.
 constexpr CorpusCase Cases[] = {

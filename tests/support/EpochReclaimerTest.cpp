@@ -234,10 +234,12 @@ TEST(EpochReclaimerTest, DestructorDrainsTheLimboListEvenWithLiveGuards) {
 }
 
 TEST(EpochReclaimerTest, OneThreadServesTwoReclaimersIndependently) {
-  EpochReclaimer A;
-  EpochReclaimer B;
+  // Declared before the reclaimers so they outlive them: ~EpochReclaimer
+  // frees A's limbo entry, whose destructor records into these.
   std::vector<int> Order;
   std::atomic<int> Freed{0};
+  EpochReclaimer A;
+  EpochReclaimer B;
 
   // Register this thread with both domains (a transient pin on B), then
   // hold a pin on A only: it must not block B's reclamation.
