@@ -28,8 +28,15 @@ fi
 shift || true
 [ "${1:-}" = "--" ] && shift
 
+# A failed --check guard in one binary must not keep the other from
+# running: record each exit status and exit with the first nonzero one
+# at the end.
+STATUS=0
 OUT="${REPO_ROOT}/BENCH_tabulation.json"
-"${BENCH}" --json "${OUT}" "$@"
+"${BENCH}" --json "${OUT}" "$@" || STATUS=$?
+if [ "${STATUS}" -ne 0 ]; then
+  echo "error: bench_tabulation exited ${STATUS}; running bench_query anyway" >&2
+fi
 echo "wrote ${OUT}"
 
 # One-line geomean summary. parallel_speedup is null (not a number) when
@@ -73,7 +80,11 @@ done
 QBENCH="${BUILD_DIR}/bench/bench_query"
 if [ -x "${QBENCH}" ]; then
   QOUT="${REPO_ROOT}/BENCH_query.json"
-  "${QBENCH}" --json "${QOUT}" "$@"
+  QSTATUS=0
+  "${QBENCH}" --json "${QOUT}" "$@" || QSTATUS=$?
+  if [ "${STATUS}" -eq 0 ]; then
+    STATUS=${QSTATUS}
+  fi
   echo "wrote ${QOUT}"
 
   CORES="$(grep -o '"hardware_concurrency": [0-9]*' "${QOUT}" | head -1 | cut -d' ' -f2 || true)"
@@ -102,3 +113,5 @@ if [ -x "${QBENCH}" ]; then
 else
   echo "note: ${QBENCH} not built; skipping the query benchmark"
 fi
+
+exit "${STATUS}"

@@ -189,11 +189,16 @@ public:
     /// (the engine's own walks do; ParallelTabulator's sparse walk
     /// visits only non-absent rows).
     uint64_t EntriesComputed = 0;
+    /// Rows a rewarm carried forward from the predecessor epoch's column
+    /// instead of computing (ParallelTabulator::Predecessor); always 0
+    /// for a fresh build.
+    uint64_t EntriesCopied = 0;
     uint64_t DominanceTests = 0;    ///< Lemma 4 element tests performed
     uint64_t BlueElementsMoved = 0; ///< blue elements composed across edges
 
     Stats &operator+=(const Stats &Other) {
       EntriesComputed += Other.EntriesComputed;
+      EntriesCopied += Other.EntriesCopied;
       DominanceTests += Other.DominanceTests;
       BlueElementsMoved += Other.BlueElementsMoved;
       return *this;

@@ -31,6 +31,16 @@
 /// dense DAG it is most of them, and the scan costs what a dense walk
 /// does.
 ///
+/// The same walk serves the commit-time rewarm. Given a Predecessor - the
+/// previous epoch's column for the name, over the same class ids, plus
+/// the rows an edit can have changed - the worker computes only those
+/// dirty rows and copies every other row of the closure from the
+/// predecessor, in the same topological order, re-appending each copied
+/// row's pool payload through setRed/setBlue. The pools therefore come
+/// out exactly as a fresh build lays them down, and the column is byte
+/// for byte what tabulating from nothing gives. A fresh build is this
+/// walk with no predecessor, where every row is dirty.
+///
 /// The tabulator drives DominanceLookupEngine::computeEntry - the same
 /// statically-exposed kernel the serial engine runs, not a copy - and
 /// publishes the *compact* column directly. Answers are materialized on
@@ -40,16 +50,17 @@
 ///
 /// Deadline cooperation mirrors the serial engine: each worker consults
 /// the shared Deadline every DominanceLookupEngine::DeadlineStride rows
-/// it visits, counted across its columns, and expiry is published
-/// through a shared sticky flag so the remaining workers stop within one
-/// stride. A column interrupted by expiry still holds a *valid prefix*:
-/// a topological prefix of the class order, or, for a small closure, the
-/// rows outside it (marked known-Absent once the pre-expiry check has
-/// passed) plus a topological prefix of the closure. Every computed
-/// entry is final and correct, because entries only ever read entries
-/// of base classes, and the rows outside the closure are closed under
-/// taking bases. Partial columns carry a per-row Computed bitmap so
-/// callers can either use the prefix or discard the column wholesale.
+/// it visits (computed or copied), counted across its columns, and
+/// expiry is published through a shared sticky flag so the remaining
+/// workers stop within one stride. A column interrupted by expiry still
+/// holds a *valid prefix*: a topological prefix of the class order, or,
+/// for a small closure, the rows outside it (marked known-Absent once
+/// the pre-expiry check has passed) plus a topological prefix of the
+/// closure. Every computed or copied entry is final and correct, because
+/// entries only ever read entries of base classes, and the rows outside
+/// the closure are closed under taking bases. Partial columns carry a
+/// per-row Computed bitmap so callers can either use the prefix or
+/// discard the column wholesale.
 ///
 /// Columns are produced as shared_ptr<const Column> deliberately: the
 /// service layer's incremental rewarming shares unaffected columns
@@ -136,12 +147,26 @@ public:
   static Result tabulateAll(const Hierarchy &H, const Deadline &D,
                             uint32_t Threads = 0);
 
+  /// What a rewarm carries forward from the predecessor epoch, indexed
+  /// like Hierarchy::allMemberNames(). For member index I, Columns[I] is
+  /// the predecessor's Complete column for that name over the same class
+  /// ids (null: tabulate fresh), and Dirty[I] marks the rows whose entry
+  /// the edit can have changed. A row of the new closure that is not
+  /// dirty must have the predecessor's entry as its correct value; rows
+  /// beyond a shorter predecessor column are always recomputed.
+  struct Predecessor {
+    std::vector<const Column *> Columns;
+    std::vector<BitVector> Dirty;
+  };
+
   /// Tabulates exactly the columns in \p MemberIdxs (indices into
-  /// Hierarchy::allMemberNames(); duplicates tolerated). Columns not
-  /// requested are left null in the result.
+  /// Hierarchy::allMemberNames(); duplicates tolerated), copying the
+  /// clean rows of each column \p Prev carries. Columns not requested
+  /// are left null in the result.
   static Result tabulate(const Hierarchy &H,
                          const std::vector<uint32_t> &MemberIdxs,
-                         const Deadline &D, uint32_t Threads = 0);
+                         const Deadline &D, uint32_t Threads = 0,
+                         const Predecessor *Prev = nullptr);
 };
 
 } // namespace memlook

@@ -313,6 +313,11 @@ struct ServiceStats {
   /// sum of BuildStats::Tabulation.EntriesComputed): a count of the
   /// tabulation work that does not depend on host speed.
   uint64_t TableEntriesComputed = 0;
+  /// Entries incremental rewarms carried forward from the predecessor
+  /// epoch instead of computing (the sum of
+  /// BuildStats::Tabulation.EntriesCopied). With TableEntriesComputed it
+  /// splits a rewarm into computed and copied rows.
+  uint64_t TableEntriesCopied = 0;
   /// Exact heap bytes of the *current* snapshot's table (0 when cold) -
   /// a gauge sampled at stats() time, not a monotone counter.
   uint64_t TableHeapBytes = 0;
@@ -715,7 +720,8 @@ private:
       NumCommitConflicts{0}, NumAbortedTxns{0}, NumAudits{0},
       NumAuditMismatches{0}, NumQuarantines{0}, NumTableRebuilds{0},
       NumIncrementalRewarms{0}, NumColumnsShared{0}, NumColumnsRetabulated{0},
-      NumColumnsDeduped{0}, NumTableEntriesComputed{0}, NumSnapshotSaves{0},
+      NumColumnsDeduped{0}, NumTableEntriesComputed{0},
+      NumTableEntriesCopied{0}, NumSnapshotSaves{0},
       NumSnapshotRestores{0}, NumSnapshotQuarantines{0}, NumWalAppends{0},
       NumWalBytesAppended{0}, NumWalResets{0}, NumWalReplayedRecords{0},
       NumWalQuarantines{0};

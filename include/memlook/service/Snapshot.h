@@ -96,6 +96,23 @@ public:
   /// (spellings) and structurally sharing every other column of
   /// \p Prev, the predecessor epoch's table built over \p OldH.
   ///
+  /// Inside a re-tabulated column the rewarm is row-precise. The rows it
+  /// recomputes are derived from the two hierarchies, not from the edit
+  /// script: the down-closure (over DirectDerived in both epochs) of
+  ///  * the structural seeds - classes that are new, or whose DirectBases
+  ///    list differs in order, base, kind or access - shared by every
+  ///    column; and
+  ///  * the member seeds of that column - classes among the old or new
+  ///    declarers of the name whose declaration of it differs.
+  /// Outside those rows a class has the same up-closure, edges,
+  /// declarations and ids in both epochs, so its Figure 8 entry is the
+  /// predecessor's. The walk visits the new closure in topological order
+  /// and copies each such row from Prev's column, re-appending its pool
+  /// payload (ParallelTabulator::Predecessor), so a rewarmed column is
+  /// byte-identical - pages, pools and StructuralHash - to the one
+  /// build() makes; dedup and the snapshot writer cannot tell them
+  /// apart. A name Prev does not tabulate is computed fresh.
+  ///
   /// Soundness preconditions (the commit path guarantees both):
   ///  * class ids are stable from OldH to NewH - the edit script
   ///    removed no class, so surviving classes keep their dense ids and

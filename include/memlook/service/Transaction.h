@@ -159,25 +159,39 @@ Expected<Hierarchy> applyEditScript(const Hierarchy &Base,
 /// What a committed edit can possibly have changed in the lookup table,
 /// computed from the edit script plus both epoch hierarchies. The
 /// incremental rewarm re-tabulates exactly MemberNames and structurally
-/// shares every other column (LookupTable::rewarm).
+/// shares every other column (LookupTable::rewarm, which also narrows
+/// each re-tabulated column to the rows the edit can reach).
 ///
-/// The argument: lookup[C, m] is a function of C's up-closure (the
-/// classes C inherits from, their edges and their declarations) - the
-/// Figure 8 entry at C reads only entries of C's bases. An edit whose
-/// ops name class A therefore changes lookup[C, *] only for C in the
-/// *down*-closure of A ({A} plus everything that derives from A, in the
-/// old or new hierarchy). For such a C, the member names whose answers
-/// can differ are the names declared somewhere in C's up-closure - in
-/// the old hierarchy or the new one (removals make a previously visible
-/// name invisible; the old side catches those). Every op's member
-/// spelling is added conservatively on top.
+/// In Figure 8, lookup[C, m] reads only C's own declaration of m and
+/// its direct bases' entries in column m. Per op, the names are:
+///  * AddMember, RemoveMember, AddUsing: Op.Member alone - no other
+///    column reads a declaration of it;
+///  * AddBase(A, B): the names declared at B or in B's up-closure, in
+///    the new hierarchy;
+///  * RemoveBase(A, B): the same set, taken in the old hierarchy, where
+///    the edge still exists;
+///  * AddClass: nothing - a class with no bases and no members makes no
+///    name visible (its edges and members arrive as their own ops);
+///  * RemoveClass: FullRebuild.
+///
+/// Why a base edge B -> A touches only names declared at or above B:
+/// a name m declared nowhere at or above B has an Absent entry at B, and
+/// the fold skips Absent bases, so the edge itself contributes nothing
+/// to column m. The edge also adds or removes CHG paths, which changes
+/// isVirtualBaseOf(V2, L) - the Lemma 4 test - only for a V2 at or above
+/// B. A definition of m whose least-virtual node is V2 is declared at or
+/// above V2, and so at or above B: then m is named. Every other
+/// definition keeps its subobjects and its Lemma 4 answers, so column m
+/// is unchanged. Base-list order and edge kind or access change only
+/// where B's entry is read, which again needs m at or above B.
 struct ImpactSet {
   /// True when column sharing is unsound for this script and the table
   /// must be rebuilt from scratch: RemoveClass compacts class ids, so
   /// surviving classes change index and every shared column would be
   /// misaligned.
   bool FullRebuild = false;
-  /// Classes in the down-closure of the edited classes (stat only).
+  /// Classes in the new epoch's down-closure of the edited classes - the
+  /// rows the edit can reach (stat only).
   uint64_t ImpactedClasses = 0;
   /// Spellings of the member names whose columns must be re-tabulated.
   std::vector<std::string> MemberNames;

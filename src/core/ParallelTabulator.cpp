@@ -115,19 +115,48 @@ uint32_t countPages(const std::vector<ClassId> &Rows, WalkScratch &W) {
   return Pages;
 }
 
+/// Writes row \p Row of \p From into \p To through setRed/setBlue, so a
+/// pooled payload is re-appended to \p To's pools at the offset a fresh
+/// computation of the row would have taken.
+void copyEntry(const CompactColumn &From, CompactColumn &To, uint32_t Row) {
+  const CompactEntry &E = From[Row];
+  switch (E.kind()) {
+  case EntryKind::Absent:
+    return;
+  case EntryKind::Red: {
+    ClassId Inline(E.InlineOrOffset);
+    std::span<const ClassId> Vs =
+        E.PoolCount == 0
+            ? std::span<const ClassId>(&Inline, 1)
+            : From.rawRedPool().subspan(E.InlineOrOffset, E.PoolCount);
+    To.setRed(To.slot(Row), E.DefiningClass, Vs, E.RepresentativeV, E.Via,
+              E.access(), E.staticMerged());
+    return;
+  }
+  case EntryKind::Blue:
+    To.setBlue(To.slot(Row), From.blues(E));
+    return;
+  }
+}
+
 /// Computes one member column start to finish in compact form. Runs on
 /// a worker thread; touches only \p Out, \p S, the worker's scratch and
-/// the shared expiry flag - the hierarchy is immutable input.
+/// the shared expiry flag - the hierarchy and \p From are immutable
+/// input.
 ///
-/// Only the down-closure of the member's declarers is computed, in
+/// Only the down-closure of the member's declarers is visited, in
 /// topological order; every other row is known Absent and stays on the
-/// zero page. A small closure is collected and sorted first; its other
-/// rows are marked computed only after the pre-expiry check, and they
-/// are closed under taking bases. A large closure is marked during one
-/// scan of the topological order, which computes a topological prefix.
-/// Either way a column cut short by the deadline holds no computed row
-/// above an uncomputed base.
-void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
+/// zero page. A visited row is computed when \p From is null, when
+/// \p Dirty marks it, or when it lies beyond \p From's rows; otherwise
+/// its entry is copied from \p From. A small closure is collected and
+/// sorted first; its other rows are marked computed only after the
+/// pre-expiry check, and they are closed under taking bases. A large
+/// closure is marked during one scan of the topological order, which
+/// computes a topological prefix. Either way a column cut short by the
+/// deadline holds no computed row above an uncomputed base.
+void tabulateColumn(const Hierarchy &H, Symbol Member,
+                    const ParallelTabulator::Column *From,
+                    const BitVector *Dirty, const Deadline &D,
                     std::atomic<bool> &ExpiredFlag,
                     ParallelTabulator::Column &Out,
                     ParallelTabulator::Stats &S) {
@@ -153,6 +182,15 @@ void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
     }
     return false;
   };
+  uint32_t Carried = From ? From->Data.size() : 0;
+  auto Fill = [&](ClassId C) {
+    if (C.index() < Carried && !Dirty->test(C.index())) {
+      copyEntry(From->Data, Out.Data, C.index());
+      ++S.EntriesCopied;
+    } else {
+      Engine::computeEntry(H, Out.Data, C, Member, S);
+    }
+  };
 
   if (collectSmallClosure(H, Member, W)) {
     Out.Data.reservePages(countPages(W.Rows, W));
@@ -162,7 +200,7 @@ void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
     for (ClassId C : W.Rows) {
       if (Expired())
         return;
-      Engine::computeEntry(H, Out.Data, C, Member, S);
+      Fill(C);
       Out.Computed.set(C.index());
     }
   } else {
@@ -180,7 +218,7 @@ void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
         Mark = W.Marked[Spec.Base.index()];
       }
       if (Mark)
-        Engine::computeEntry(H, Out.Data, C, Member, S);
+        Fill(C);
       Out.Computed.set(C.index());
     }
     std::fill_n(W.Marked.begin(), NumClasses, 0);
@@ -200,8 +238,12 @@ void tabulateColumn(const Hierarchy &H, Symbol Member, const Deadline &D,
 ParallelTabulator::Result
 ParallelTabulator::tabulate(const Hierarchy &H,
                             const std::vector<uint32_t> &MemberIdxs,
-                            const Deadline &D, uint32_t Threads) {
+                            const Deadline &D, uint32_t Threads,
+                            const Predecessor *Prev) {
   const std::vector<Symbol> &Names = H.allMemberNames();
+  assert((!Prev || (Prev->Columns.size() == Names.size() &&
+                    Prev->Dirty.size() == Names.size())) &&
+         "a predecessor is indexed like allMemberNames()");
 
   std::vector<uint32_t> Work(MemberIdxs);
   std::sort(Work.begin(), Work.end());
@@ -221,9 +263,12 @@ ParallelTabulator::tabulate(const Hierarchy &H,
 
   parallelFor(R.ThreadsUsed, static_cast<uint32_t>(Work.size()),
               [&](uint32_t I) {
-                assert(Work[I] < Names.size() && "member index out of range");
-                tabulateColumn(H, Names[Work[I]], D, ExpiredFlag, Built[I],
-                               PerColumn[I]);
+                uint32_t Idx = Work[I];
+                assert(Idx < Names.size() && "member index out of range");
+                const Column *From = Prev ? Prev->Columns[Idx] : nullptr;
+                tabulateColumn(H, Names[Idx], From,
+                               From ? &Prev->Dirty[Idx] : nullptr, D,
+                               ExpiredFlag, Built[I], PerColumn[I]);
               });
 
   for (size_t I = 0; I != Work.size(); ++I) {

@@ -13,6 +13,7 @@
 #include "memlook/workload/Generators.h"
 
 #include <map>
+#include <set>
 
 using namespace memlook;
 using namespace memlook::service;
@@ -177,12 +178,32 @@ memlook::service::runEditScriptCase(uint64_t Seed,
       // Oracle 3: the published table - usually an incremental rewarm
       // sharing columns with the predecessor epoch, built in parallel -
       // must be entry-for-entry identical to a serial from-scratch
-      // build over the same hierarchy.
+      // build over the same hierarchy, and every column the commit
+      // tabulated (a rewarm copies the clean rows forward) byte-identical
+      // to the scratch build's. Columns aliased from the predecessor are
+      // only value-equal: an edit can reorder the rows their pools
+      // were laid down in.
       std::shared_ptr<const Snapshot> Now = Svc.snapshot();
       if (Now->Table) {
         auto Scratch =
             LookupTable::build(*Now->H, Deadline::never(), /*Threads=*/1);
         const Hierarchy &NH = *Now->H;
+        std::set<const LookupTable::Column *> Aliased;
+        if (Before->Table)
+          for (const auto &Col : Before->Table->columns())
+            Aliased.insert(Col.get());
+        for (size_t Col = 0; Col != NH.allMemberNames().size(); ++Col) {
+          const LookupTable::Column &Got = *Now->Table->columns()[Col];
+          const LookupTable::Column &Want = *Scratch->columns()[Col];
+          ++Result.PairsChecked;
+          if (Aliased.count(&Got) == 0 &&
+              (!(Got.Data == Want.Data) ||
+               Got.StructuralHash != Want.StructuralHash))
+            Result.Mismatches.push_back(
+                "txn " + std::to_string(TxnIdx) + " rewarm: column " +
+                std::string(NH.spelling(NH.allMemberNames()[Col])) +
+                " is not byte-identical to a from-scratch build");
+        }
         for (uint32_t Idx = 0;
              Idx != NH.numClasses() && Result.Mismatches.size() < 16; ++Idx) {
           for (Symbol M : NH.allMemberNames()) {

@@ -430,6 +430,8 @@ void LookupService::noteTableBuilt(const LookupTable *Table) {
   NumColumnsDeduped.fetch_add(B.ColumnsDeduped, std::memory_order_relaxed);
   NumTableEntriesComputed.fetch_add(B.Tabulation.EntriesComputed,
                                     std::memory_order_relaxed);
+  NumTableEntriesCopied.fetch_add(B.Tabulation.EntriesCopied,
+                                  std::memory_order_relaxed);
 }
 
 void LookupService::adoptInitial(std::shared_ptr<const Snapshot> Snap) {
@@ -1090,6 +1092,7 @@ ServiceStats LookupService::stats() const {
   S.ColumnsDeduped = NumColumnsDeduped.load(std::memory_order_relaxed);
   S.TableEntriesComputed =
       NumTableEntriesComputed.load(std::memory_order_relaxed);
+  S.TableEntriesCopied = NumTableEntriesCopied.load(std::memory_order_relaxed);
   S.SnapshotSaves = NumSnapshotSaves.load(std::memory_order_relaxed);
   S.SnapshotRestores = NumSnapshotRestores.load(std::memory_order_relaxed);
   S.SnapshotQuarantines =

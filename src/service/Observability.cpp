@@ -475,6 +475,8 @@ const MetricDesc Catalog[] = {
             "Column pointers unified by structural dedup."),
     COUNTER("memlook_table_entries_computed_total", TableEntriesComputed,
             "Figure 8 entries computed by table builds and rewarms."),
+    COUNTER("memlook_table_entries_copied_total", TableEntriesCopied,
+            "Figure 8 entries rewarms copied from the predecessor epoch."),
     GAUGE("memlook_table_heap_bytes", TableHeapBytes,
           "Heap bytes of the current snapshot's table (0 when cold)."),
     GAUGE("memlook_hierarchy_heap_bytes", HierarchyHeapBytes,

@@ -7,6 +7,8 @@
 
 #include "memlook/service/Snapshot.h"
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -56,6 +58,93 @@ uint32_t dedupStructurallyEqualColumns(
   return Aliased;
 }
 
+/// True when two declarations of one member name (null: not declared)
+/// agree in every field a lookup entry or its entity can depend on.
+bool sameDeclaration(const MemberDecl *A, const MemberDecl *B) {
+  if (!A || !B)
+    return A == B;
+  return A->IsStatic == B->IsStatic && A->IsVirtual == B->IsVirtual &&
+         A->Access == B->Access && A->UsingFrom == B->UsingFrom;
+}
+
+/// True when two base-specifier lists name the same bases in the same
+/// order with the same kind and access.
+bool sameBases(const std::vector<BaseSpecifier> &A,
+               const std::vector<BaseSpecifier> &B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const BaseSpecifier &X, const BaseSpecifier &Y) {
+                      return X.Base == Y.Base && X.Kind == Y.Kind &&
+                             X.Access == Y.Access;
+                    });
+}
+
+/// Extends \p Marked (sized for \p NewH) by the down-closure of the
+/// classes on \p Stack, which are already marked, over DirectDerived in
+/// both epochs. An edge present in only one epoch needs no special
+/// case: its derived class's base list differs, so it is a structural
+/// seed itself.
+void markDownClosure(const Hierarchy &NewH, const Hierarchy &OldH,
+                     BitVector &Marked, std::vector<ClassId> &Stack) {
+  auto Visit = [&](const std::vector<ClassId> &Derived) {
+    for (ClassId D : Derived)
+      if (!Marked.test(D.index())) {
+        Marked.set(D.index());
+        Stack.push_back(D);
+      }
+  };
+  while (!Stack.empty()) {
+    ClassId C = Stack.back();
+    Stack.pop_back();
+    Visit(NewH.info(C).DirectDerived);
+    if (C.index() < OldH.numClasses())
+      Visit(OldH.info(C).DirectDerived);
+  }
+}
+
+/// The rows every column of a rewarm must recompute: the down-closure of
+/// the structural seeds, the classes that are new or whose base list
+/// changed. Outside it a class has the same up-closure, edges and ids in
+/// both epochs.
+BitVector structurallyDirtyRows(const Hierarchy &NewH, const Hierarchy &OldH) {
+  BitVector Dirty(NewH.numClasses());
+  std::vector<ClassId> Stack;
+  for (uint32_t Idx = 0; Idx != NewH.numClasses(); ++Idx) {
+    ClassId C(Idx);
+    if (Idx < OldH.numClasses() &&
+        sameBases(NewH.info(C).DirectBases, OldH.info(C).DirectBases))
+      continue;
+    Dirty.set(Idx);
+    Stack.push_back(C);
+  }
+  markDownClosure(NewH, OldH, Dirty, Stack);
+  return Dirty;
+}
+
+/// The rows of column \p NewSym (\p OldSym in the old epoch) a rewarm
+/// must recompute: \p Structural plus the down-closure of every class
+/// whose declaration of the name differs between the epochs.
+BitVector dirtyRows(const Hierarchy &NewH, const Hierarchy &OldH,
+                    Symbol NewSym, Symbol OldSym,
+                    const BitVector &Structural) {
+  BitVector Dirty = Structural;
+  std::vector<ClassId> Stack;
+  auto Seed = [&](ClassId C) {
+    // A class already dirty is new or has its down-closure marked.
+    if (Dirty.test(C.index()) ||
+        sameDeclaration(OldH.declaredMember(C, OldSym),
+                        NewH.declaredMember(C, NewSym)))
+      return;
+    Dirty.set(C.index());
+    Stack.push_back(C);
+  };
+  for (ClassId C : OldH.declarers(OldSym))
+    Seed(C);
+  for (ClassId C : NewH.declarers(NewSym))
+    Seed(C);
+  markDownClosure(NewH, OldH, Dirty, Stack);
+  return Dirty;
+}
+
 } // namespace
 
 void LookupTable::buildMemberIndex(const Hierarchy &H) {
@@ -101,28 +190,40 @@ LookupTable::rewarm(const Hierarchy &NewH, const Hierarchy &OldH,
   // name the predecessor does not tabulate, defensively - a genuinely
   // new name is always impacted) get re-tabulated; the rest alias the
   // predecessor's columns. Symbols are per-hierarchy interner ids, so
-  // the cross-epoch join key is the spelling, not the Symbol.
+  // the cross-epoch join key is the spelling, not the Symbol. An
+  // impacted name the predecessor tabulates is carried forward row by
+  // row: its dirty rows are recomputed and the rest copied.
   const std::vector<Symbol> &Members = NewH.allMemberNames();
+  assert(NewH.numClasses() >= OldH.numClasses() &&
+         "rewarm requires stable class ids (no RemoveClass)");
   std::vector<uint32_t> Retab;
   std::vector<std::pair<uint32_t, uint32_t>> Shared; // (new idx, prev idx)
+  ParallelTabulator::Predecessor Carry;
+  Carry.Columns.assign(Members.size(), nullptr);
+  Carry.Dirty.resize(Members.size());
+  std::optional<BitVector> Structural;
   Retab.reserve(ImpactedNames.size());
   Shared.reserve(Members.size());
   for (uint32_t Idx = 0; Idx != Members.size(); ++Idx) {
     std::string_view Spelling = NewH.spelling(Members[Idx]);
-    if (Impacted.count(Spelling) != 0) {
-      Retab.push_back(Idx);
-      continue;
-    }
     Symbol OldSym = OldH.findName(Spelling);
     uint32_t PrevCol = Prev.columnIndexFor(OldSym);
-    if (PrevCol == NoColumn)
-      Retab.push_back(Idx);
-    else
+    if (Impacted.count(Spelling) == 0 && PrevCol != NoColumn) {
       Shared.emplace_back(Idx, PrevCol);
+      continue;
+    }
+    Retab.push_back(Idx);
+    if (PrevCol == NoColumn)
+      continue; // a name new to this epoch is tabulated fresh
+    if (!Structural)
+      Structural = structurallyDirtyRows(NewH, OldH);
+    Carry.Columns[Idx] = Prev.Columns[PrevCol].get();
+    Carry.Dirty[Idx] =
+        dirtyRows(NewH, OldH, Members[Idx], OldSym, *Structural);
   }
 
-  ParallelTabulator::Result R =
-      ParallelTabulator::tabulate(NewH, Retab, BuildDeadline, Threads);
+  ParallelTabulator::Result R = ParallelTabulator::tabulate(
+      NewH, Retab, BuildDeadline, Threads, &Carry);
   if (!R.Complete)
     return nullptr;
 

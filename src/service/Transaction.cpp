@@ -299,73 +299,76 @@ memlook::service::computeImpactSet(const Hierarchy &Old, const Hierarchy &New,
 
   ImpactSet Impact;
   std::unordered_set<std::string> Names;
-  std::unordered_set<std::string> EditedClasses;
+  // Classes whose declared names a base-edge op impacts, per epoch: the
+  // edge's base and its up-closure. markBases shares the visited set,
+  // so each class is walked once however many ops name it.
+  BitVector OldAbove(Old.numClasses()), NewAbove(New.numClasses());
+  auto MarkAbove = [](const Hierarchy &H, const std::string &Name,
+                      BitVector &Above) {
+    ClassId B = H.findClass(Name);
+    if (!B.isValid())
+      return;
+    Above.set(B.index());
+    H.markBases(B, Above);
+  };
 
   for (const Transaction::Op &Op : Ops) {
-    // RemoveClass erases a slot out of the dense id space: every later
-    // class shifts down one index, so a shared column (indexed by class
-    // id) would answer for the wrong classes. Sharing is off the table.
-    if (Op.Kind == Transaction::OpKind::RemoveClass)
+    switch (Op.Kind) {
+    case Transaction::OpKind::RemoveClass:
+      // RemoveClass erases a slot out of the dense id space: every later
+      // class shifts down one index, so a shared column (indexed by
+      // class id) would answer for the wrong classes.
       Impact.FullRebuild = true;
-    // Op.Class is the class whose declaration changes in every op kind
-    // (the base of an AddBase edge gains a *derived* class, which does
-    // not change any lookup at or above the base).
-    EditedClasses.insert(Op.Class);
-    if (!Op.Member.empty())
+      break;
+    case Transaction::OpKind::AddMember:
+    case Transaction::OpKind::RemoveMember:
+    case Transaction::OpKind::AddUsing:
       Names.insert(Op.Member);
+      break;
+    case Transaction::OpKind::AddBase:
+      MarkAbove(New, Op.Target, NewAbove);
+      break;
+    case Transaction::OpKind::RemoveBase:
+      MarkAbove(Old, Op.Target, OldAbove);
+      break;
+    case Transaction::OpKind::AddClass:
+      break;
+    }
   }
   if (Impact.FullRebuild)
     return Impact;
 
-  // Down-closure of the edited classes, per epoch: one walk over
-  // DirectDerived. Class ids are stable across the two epochs here (no
-  // RemoveClass), but the edges differ - an AddBase edge exists in the
-  // new epoch only, a RemoveBase edge in the old one only - so both
-  // sides are collected.
-  auto MarkImpacted = [&EditedClasses](const Hierarchy &H, BitVector &Bits) {
-    std::vector<ClassId> Stack;
-    for (const std::string &Name : EditedClasses) {
-      ClassId A = H.findClass(Name);
-      if (!A.isValid())
-        continue; // exists only in the other epoch (AddClass, say)
-      Bits.set(A.index());
-      Stack.push_back(A);
-    }
-    while (!Stack.empty()) {
-      ClassId C = Stack.back();
-      Stack.pop_back();
-      for (ClassId D : H.info(C).DirectDerived)
-        if (!Bits.test(D.index())) {
-          Bits.set(D.index());
-          Stack.push_back(D);
-        }
-    }
-  };
-
-  // The names whose answers can change at an impacted class C are the
-  // names declared in C's up-closure - visible-before or visible-after,
-  // hence again both epochs. The up-walks share one visited set, so
-  // each class is walked once.
-  auto CollectVisibleNames = [&Names](const Hierarchy &H,
-                                      const BitVector &Impacted) {
-    BitVector Sources = Impacted;
-    Impacted.forEachSetBit([&](size_t C) {
-      H.markBases(ClassId(static_cast<uint32_t>(C)), Sources);
-    });
-    Sources.forEachSetBit([&](size_t C) {
+  auto CollectDeclared = [&Names](const Hierarchy &H, const BitVector &Above) {
+    Above.forEachSetBit([&](size_t C) {
       for (const MemberDecl &M :
            H.info(ClassId(static_cast<uint32_t>(C))).Members)
         Names.insert(std::string(H.spelling(M.Name)));
     });
   };
+  CollectDeclared(Old, OldAbove);
+  CollectDeclared(New, NewAbove);
 
-  BitVector OldImpacted(Old.numClasses()), NewImpacted(New.numClasses());
-  MarkImpacted(Old, OldImpacted);
-  MarkImpacted(New, NewImpacted);
-  CollectVisibleNames(Old, OldImpacted);
-  CollectVisibleNames(New, NewImpacted);
-
-  Impact.ImpactedClasses = NewImpacted.count();
+  // The stat: the down-closure of the classes the ops edit, in the new
+  // epoch - the rows the edit can reach.
+  BitVector Reached(New.numClasses());
+  std::vector<ClassId> Stack;
+  for (const Transaction::Op &Op : Ops) {
+    ClassId A = New.findClass(Op.Class);
+    if (A.isValid() && !Reached.test(A.index())) {
+      Reached.set(A.index());
+      Stack.push_back(A);
+    }
+  }
+  while (!Stack.empty()) {
+    ClassId C = Stack.back();
+    Stack.pop_back();
+    for (ClassId D : New.info(C).DirectDerived)
+      if (!Reached.test(D.index())) {
+        Reached.set(D.index());
+        Stack.push_back(D);
+      }
+  }
+  Impact.ImpactedClasses = Reached.count();
   Impact.MemberNames.assign(Names.begin(), Names.end());
   return Impact;
 }

@@ -63,9 +63,9 @@ std::vector<std::string> renderTable(const Hierarchy &H,
 }
 
 TEST(ImpactSetTest, EditInOneModuleImpactsOnlyThatModule) {
-  // Three independent trees; editing tree 0's root can only change
-  // answers for tree 0's classes, so only tree-0-local names (plus the
-  // globals every root declares, which tree 0 sees too) are impacted.
+  // Three independent trees; declaring a fresh name at tree 0's root
+  // can change only that name's column, so neither tree 0's other names
+  // nor the globals every root declares are impacted.
   Workload W = makeModularForest(3, 2, 2, 4, 2);
   std::vector<Transaction::Op> Ops;
   Ops.push_back(Transaction::Op{Transaction::OpKind::AddMember, "T0", "",
@@ -76,8 +76,8 @@ TEST(ImpactSetTest, EditInOneModuleImpactsOnlyThatModule) {
   ImpactSet Impact = computeImpactSet(W.H, New, Ops);
   EXPECT_FALSE(Impact.FullRebuild);
   EXPECT_TRUE(contains(Impact.MemberNames, "t0_fresh"));
-  EXPECT_TRUE(contains(Impact.MemberNames, "t0_m0"));
-  EXPECT_TRUE(contains(Impact.MemberNames, "g0"));
+  EXPECT_FALSE(contains(Impact.MemberNames, "t0_m0"));
+  EXPECT_FALSE(contains(Impact.MemberNames, "g0"));
   EXPECT_FALSE(contains(Impact.MemberNames, "t1_m0"));
   EXPECT_FALSE(contains(Impact.MemberNames, "t2_m0"));
   // Down-closure of T0 = tree 0 only: 1 root + 2 + 4 children.
@@ -114,6 +114,84 @@ TEST(ImpactSetTest, RemovedMemberNameComesFromTheOldClosure) {
   EXPECT_FALSE(Impact.FullRebuild);
   EXPECT_TRUE(contains(Impact.MemberNames, "t0_m1"));
   EXPECT_FALSE(contains(Impact.MemberNames, "t1_m0"));
+}
+
+/// Top{t} <- Mid{m} <- Leaf{l}, SideBase{sb} <- Side{s}, and Other{o}
+/// on its own: every name is declared once, so an impact set names
+/// exactly the columns it must.
+Hierarchy makeImpactFixture() {
+  HierarchyBuilder B;
+  B.addClass("Top").withMember("t");
+  B.addClass("Mid").withBase("Top").withMember("m");
+  B.addClass("Leaf").withBase("Mid").withMember("l");
+  B.addClass("SideBase").withMember("sb");
+  B.addClass("Side").withBase("SideBase").withMember("s");
+  B.addClass("Other").withMember("o");
+  return std::move(B).build();
+}
+
+Transaction::Op edgeOp(Transaction::OpKind Kind, std::string Class,
+                       std::string Target, std::string Member = "") {
+  return Transaction::Op{Kind,
+                         std::move(Class),
+                         std::move(Target),
+                         std::move(Member),
+                         InheritanceKind::NonVirtual,
+                         AccessSpec::Public,
+                         false,
+                         false};
+}
+
+/// The impact set's names, sorted, for exact comparison.
+std::vector<std::string>
+impactedNames(const Hierarchy &Old, const std::vector<Transaction::Op> &Ops) {
+  Hierarchy New = applyOps(Old, Ops);
+  ImpactSet Impact = computeImpactSet(Old, New, Ops);
+  EXPECT_FALSE(Impact.FullRebuild);
+  std::sort(Impact.MemberNames.begin(), Impact.MemberNames.end());
+  return Impact.MemberNames;
+}
+
+using Names = std::vector<std::string>;
+
+TEST(ImpactSetTest, AddBaseNamesWhatIsDeclaredAtOrAboveTheNewBase) {
+  // Leaf gains Side: only the names Side makes visible can change.
+  using K = Transaction::OpKind;
+  Hierarchy H = makeImpactFixture();
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::AddBase, "Leaf", "Side")}),
+            (Names{"s", "sb"}));
+  // A fresh leaf under Mid sees Mid's and Top's names, nothing else.
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::AddClass, "Fresh", ""),
+                              edgeOp(K::AddBase, "Fresh", "Mid")}),
+            (Names{"m", "t"}));
+  // The base exists only in the new epoch: its names come from the new
+  // side, where it already derives from Side.
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::AddClass, "NewB", ""),
+                              edgeOp(K::AddMember, "NewB", "", "nb"),
+                              edgeOp(K::AddBase, "NewB", "Side"),
+                              edgeOp(K::AddBase, "Other", "NewB")}),
+            (Names{"nb", "s", "sb"}));
+}
+
+TEST(ImpactSetTest, RemoveBaseNamesWhatWasDeclaredAtOrAboveTheOldBase) {
+  using K = Transaction::OpKind;
+  Hierarchy H = makeImpactFixture();
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::RemoveBase, "Mid", "Top")}),
+            (Names{"t"}));
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::RemoveBase, "Leaf", "Mid")}),
+            (Names{"m", "t"}));
+  // Cutting Side off SideBase first leaves the old side's sb named.
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::RemoveBase, "Side", "SideBase"),
+                              edgeOp(K::AddBase, "Leaf", "Side")}),
+            (Names{"s", "sb"}));
+}
+
+TEST(ImpactSetTest, UsingDeclarationNamesOnlyItsMember) {
+  using K = Transaction::OpKind;
+  Hierarchy H = makeImpactFixture();
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::AddUsing, "Leaf", "Top", "t")}),
+            (Names{"t"}));
+  EXPECT_EQ(impactedNames(H, {edgeOp(K::AddClass, "Lone", "")}), Names{});
 }
 
 TEST(RewarmTest, SharesUnaffectedColumnsAndMatchesScratch) {
