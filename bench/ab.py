@@ -13,7 +13,11 @@ that runs first alternating from pair to pair. Each tree builds its own
 benchmark program on its first run.
 
 For each end-to-end metric named in the change's BENCHMARK.json it prints
-the median [q1-q3] of each side and the number of pairs the change won.
+the median [q1-q3] of each side and the number of pairs the change won,
+then the commits each side made per run (from the harness's summary line
+on stderr). A workload that commits for a fixed time commits more on a
+faster side, and its peak RSS grows with the commit count, so read
+peak_rss_mb against that row.
 The exit code is 1 when any metric is worse on the change side in a
 majority of pairs, 2 when a run fails or answers incorrectly, else 0.
 """
@@ -21,6 +25,7 @@ majority of pairs, 2 when a run fails or answers incorrectly, else 0.
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
@@ -49,20 +54,29 @@ def extract(rev, dest):
         raise RuntimeError("git archive %s failed" % rev)
 
 
+# The harness's end-of-run summary on stderr: "perfbench: ... N commits, ...".
+COMMITS = re.compile(r"^perfbench: .*?(\d+) commits\b", re.MULTILINE)
+
+
 def run_once(tree, workload, seed, seconds):
-    """One untraced perfbench run in \\p tree; returns its parsed result."""
+    """One untraced perfbench run in \\p tree; returns its parsed result
+    with the run's commit count added as result["commits"]."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True)
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
         raise RuntimeError("perfbench in %s exited %d" % (tree,
                                                           proc.returncode))
     result = json.loads(lines[-1])
     if not result.get("correct", False) or result.get("failed", 0) != 0:
+        sys.stderr.write(proc.stderr)
         raise RuntimeError("perfbench in %s answered incorrectly" % tree)
+    counts = COMMITS.findall(proc.stderr)
+    result["commits"] = int(counts[-1]) if counts else None
     return result
 
 
@@ -151,6 +165,13 @@ def main():
                                             args.pairs))
         if 2 * losses > args.pairs:
             regressed.append(name)
+    commits = {side: [s["commits"] for s in samples[side]
+                      if s["commits"] is not None] for side in samples}
+    if all(commits.values()):
+        cells = ["%.4g [%.4g-%.4g]" % summary(commits[side])
+                 for side in ("base", "change")]
+        print("%-16s %-30s %-30s %s" % ("commits/run", cells[0], cells[1],
+                                        "(not gated)"))
     if regressed:
         print("worse in a majority of pairs: " + ", ".join(regressed))
         return 1

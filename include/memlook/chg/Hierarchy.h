@@ -27,6 +27,10 @@
 /// isBaseOf() and basesOf() walk the direct-base lists; loops hoist a
 /// basesOf().
 ///
+/// A finalized hierarchy is immutable. An edit starts from
+/// editableCopy(), which keeps class ids and Symbols, changes the copy
+/// through the construction and removal calls, and finalizes it again.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MEMLOOK_CHG_HIERARCHY_H
@@ -41,7 +45,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace memlook {
@@ -111,7 +114,8 @@ public:
     /// Direct bases in base-specifier-list order (the order matters for
     /// object layout and for deterministic algorithm traversal).
     std::vector<BaseSpecifier> DirectBases;
-    /// Classes that list this class as a direct base, in creation order.
+    /// Classes that list this class as a direct base, in ascending id
+    /// order.
     std::vector<ClassId> DirectDerived;
     /// Members declared directly in this class, in declaration order.
     std::vector<MemberDecl> Members;
@@ -126,9 +130,10 @@ public:
   ClassId createClass(std::string_view Name, SourceLoc Loc = SourceLoc(),
                       DiagnosticEngine *Diags = nullptr);
 
-  /// Appends \p Base to \p Derived's base-specifier list. Duplicate direct
-  /// bases are rejected (ill-formed in C++) with a diagnostic. Must not be
-  /// called after finalize().
+  /// Appends \p Base to \p Derived's base-specifier list (and \p Derived
+  /// to \p Base's DirectDerived, in id order). Duplicate direct bases are
+  /// rejected (ill-formed in C++) with a diagnostic. Must not be called
+  /// after finalize().
   bool addBase(ClassId Derived, ClassId Base,
                InheritanceKind Kind = InheritanceKind::NonVirtual,
                AccessSpec Access = AccessSpec::Public,
@@ -150,6 +155,26 @@ public:
                            AccessSpec Access = AccessSpec::Public,
                            SourceLoc Loc = SourceLoc(),
                            DiagnosticEngine *Diags = nullptr);
+
+  /// An unfinalized copy to edit: the same class ids, records, source
+  /// locations and Symbols (names the copy interns later get new ones).
+  /// The finalize() artifacts are not copied; finalize the copy once the
+  /// edits are done.
+  Hierarchy editableCopy() const;
+
+  /// Removes \p Class's declaration of \p Name. Returns false if \p Class
+  /// declares no such member. Must not be called after finalize().
+  bool removeMember(ClassId Class, Symbol Name);
+
+  /// Removes the direct edge \p Base -> \p Derived. Returns false if
+  /// there is none. Must not be called after finalize().
+  bool removeBase(ClassId Derived, ClassId Base);
+
+  /// Removes \p Class with its own edges and members. No other class may
+  /// still list it as a base or name it in a using-declaration. Every
+  /// class id above it shifts down by one; Symbols do not change. Must
+  /// not be called after finalize().
+  void removeClass(ClassId Class);
 
   /// Non-mutating validation of the graph as described so far: reports
   /// inheritance cycles and using-declarations that do not name a
@@ -203,7 +228,8 @@ public:
   /// Number of distinct interned names so far - class names, member
   /// names, and query-side internName() calls share one dense id space,
   /// so every valid Symbol's raw value is below this bound. The flat
-  /// member dispatch of service::LookupTable is sized by it.
+  /// member dispatch of service::LookupTable is sized by it. An edited
+  /// copy keeps every name of its predecessor, used or not.
   uint32_t numInternedNames() const {
     return static_cast<uint32_t>(Names.size());
   }
@@ -311,7 +337,9 @@ private:
 
   StringInterner Names;
   std::vector<ClassInfo> Classes;
-  std::unordered_map<Symbol, ClassId> ClassByName;
+  // The class a name denotes, indexed by Symbol; invalid where the name
+  // is no class's (and past the end for names interned afterwards).
+  std::vector<ClassId> ClassOfName;
 
   std::vector<ClassId> TopoOrder;
   std::vector<uint32_t> TopoIndex; // class index -> position in TopoOrder

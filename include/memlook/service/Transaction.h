@@ -11,10 +11,11 @@
 /// additions and removals by name - begun against a base epoch and
 /// applied atomically at commit():
 ///
-///   * the service replays the script onto a copy of the base epoch's
-///     hierarchy, enforces the construction-side ResourceBudget, and
-///     runs full validation (Hierarchy::validate semantics via
-///     finalize: cycles, duplicate bases, using-targets);
+///   * the service applies the script to an editable copy of the base
+///     epoch's hierarchy (Hierarchy::editableCopy: same class ids and
+///     Symbols), enforces the construction-side ResourceBudget after
+///     every op, and runs full validation (Hierarchy::validate
+///     semantics via finalize: cycles, duplicate bases, using-targets);
 ///   * any failure - an op referencing a name that does not exist, a
 ///     budget trip, a validation error, or a conflicting commit that
 ///     moved the epoch - rolls the whole transaction back: the prior
@@ -24,8 +25,8 @@
 ///     are unaffected until they re-pin.
 ///
 /// Recording ops by name (not ClassId) is what makes rollback trivial
-/// and replay-after-conflict possible: ids are per-epoch, names are
-/// stable across epochs.
+/// and replay-after-conflict possible: a RemoveClass shifts every later
+/// id down, so ids are per-epoch while names are stable across epochs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,11 +148,17 @@ private:
   std::vector<Op> Ops;
 };
 
-/// Replays \p Ops onto a copy of \p Base and returns the finalized
-/// result, or the Status explaining the first failure (unknown name,
-/// duplicate, budget trip, validation error). \p Base is never touched:
-/// this is the commit path's all-or-nothing core, exposed as a free
-/// function so the edit-script fuzzer can drive it directly.
+/// Applies \p Ops to an editable copy of \p Base and returns the
+/// finalized result, or the Status explaining the first failure (unknown
+/// name, duplicate, budget trip, validation error). \p Base is never
+/// touched: this is the commit path's all-or-nothing core, exposed as a
+/// free function so the edit-script fuzzer can drive it directly.
+///
+/// Each op resolves its names once and edits the copy by id. The result
+/// keeps \p Base's class ids (a RemoveClass shifts later ids down one)
+/// and Symbols, with new names appended. Whole-graph checks (self-edge,
+/// cycle, using-target) see only the final graph, so a self-edge a later
+/// op removes is no error, and any op-level failure is reported first.
 Expected<Hierarchy> applyEditScript(const Hierarchy &Base,
                                     const std::vector<Transaction::Op> &Ops,
                                     const ResourceBudget &Budget);
@@ -186,9 +193,9 @@ Expected<Hierarchy> applyEditScript(const Hierarchy &Base,
 /// where B's entry is read, which again needs m at or above B.
 struct ImpactSet {
   /// True when column sharing is unsound for this script and the table
-  /// must be rebuilt from scratch: RemoveClass compacts class ids, so
-  /// surviving classes change index and every shared column would be
-  /// misaligned.
+  /// must be rebuilt from scratch: RemoveClass erases the class's slot
+  /// and shifts every later class id down by one, so a shared column
+  /// (indexed by class id) would answer for the wrong classes.
   bool FullRebuild = false;
   /// Classes in the new epoch's down-closure of the edited classes - the
   /// rows the edit can reach (stat only).

@@ -34,7 +34,7 @@ using Symbol = StrongId<SymbolTag>;
 ///
 /// Move-only: the index keys are string_views into the stored spellings,
 /// so a memberwise copy would leave the copy's keys dangling into the
-/// original.
+/// original. clone() is the explicit copy.
 class StringInterner {
 public:
   StringInterner() = default;
@@ -42,6 +42,11 @@ public:
   StringInterner &operator=(StringInterner &&) = default;
   StringInterner(const StringInterner &) = delete;
   StringInterner &operator=(const StringInterner &) = delete;
+
+  /// An independent copy: the same spellings under the same Symbols, with
+  /// the index rebuilt over the copy's own storage, so it outlives this
+  /// interner.
+  StringInterner clone() const;
 
   /// Interns \p Text, returning its Symbol. Idempotent: interning the same
   /// spelling twice returns the same Symbol.

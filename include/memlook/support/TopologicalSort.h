@@ -16,8 +16,11 @@
 #ifndef MEMLOOK_SUPPORT_TOPOLOGICALSORT_H
 #define MEMLOOK_SUPPORT_TOPOLOGICALSORT_H
 
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <vector>
 
 namespace memlook {
@@ -35,15 +38,68 @@ struct TopologicalSortResult {
   std::optional<uint32_t> CycleWitness;
 };
 
-/// Topologically sorts the graph with \p NumNodes nodes and \p Successors
-/// adjacency lists (Successors[N] are the targets of edges out of N).
+/// Topologically sorts the graph with \p NumNodes nodes, where
+/// \p ForEachSuccessor(N, Visit) calls Visit(S) for every edge N -> S.
 ///
 /// Ties are broken by node index so that the returned order is
 /// deterministic; this keeps every downstream table and diagnostic stable
 /// across runs.
-TopologicalSortResult
+template <typename ForEachSuccessorFn>
+TopologicalSortResult topologicalSortBy(uint32_t NumNodes,
+                                        ForEachSuccessorFn &&ForEachSuccessor) {
+  TopologicalSortResult Result;
+  std::vector<uint32_t> InDegree(NumNodes, 0);
+  for (uint32_t N = 0; N != NumNodes; ++N)
+    ForEachSuccessor(N, [&](uint32_t Succ) {
+      assert(Succ < NumNodes && "edge target out of range");
+      ++InDegree[Succ];
+    });
+
+  // A min-heap of ready nodes makes the order deterministic (smallest
+  // index first among nodes whose predecessors are all emitted).
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>> Ready;
+  for (uint32_t N = 0; N != NumNodes; ++N)
+    if (InDegree[N] == 0)
+      Ready.push(N);
+
+  Result.Order.reserve(NumNodes);
+  while (!Ready.empty()) {
+    uint32_t N = Ready.top();
+    Ready.pop();
+    Result.Order.push_back(N);
+    ForEachSuccessor(N, [&](uint32_t Succ) {
+      if (--InDegree[Succ] == 0)
+        Ready.push(Succ);
+    });
+  }
+
+  if (Result.Order.size() == NumNodes) {
+    Result.IsAcyclic = true;
+    return Result;
+  }
+
+  // Some node was never emitted: it sits on (or downstream of) a cycle.
+  // Report the smallest node with a remaining in-degree as the witness.
+  Result.Order.clear();
+  for (uint32_t N = 0; N != NumNodes; ++N)
+    if (InDegree[N] != 0) {
+      Result.CycleWitness = N;
+      break;
+    }
+  return Result;
+}
+
+/// The same sort over adjacency lists (Successors[N] are the targets of
+/// edges out of N).
+inline TopologicalSortResult
 topologicalSort(uint32_t NumNodes,
-                const std::vector<std::vector<uint32_t>> &Successors);
+                const std::vector<std::vector<uint32_t>> &Successors) {
+  assert(Successors.size() == NumNodes && "adjacency list size mismatch");
+  return topologicalSortBy(NumNodes, [&](uint32_t N, auto Visit) {
+    for (uint32_t Succ : Successors[N])
+      Visit(Succ);
+  });
+}
 
 } // namespace memlook
 

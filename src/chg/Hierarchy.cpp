@@ -9,8 +9,8 @@
 
 #include "memlook/support/TopologicalSort.h"
 
+#include <algorithm>
 #include <string>
-#include <utility>
 
 using namespace memlook;
 
@@ -30,8 +30,9 @@ ClassId Hierarchy::createClass(std::string_view Name, SourceLoc Loc,
                                DiagnosticEngine *Diags) {
   assert(!Finalized && "cannot add classes after finalize()");
   Symbol Sym = Names.intern(Name);
-  auto It = ClassByName.find(Sym);
-  if (It != ClassByName.end()) {
+  if (Sym.index() >= ClassOfName.size())
+    ClassOfName.resize(Sym.index() + 1);
+  if (ClassOfName[Sym.index()].isValid()) {
     if (Diags)
       Diags->error(Loc, "redefinition of class '" + std::string(Name) + "'",
                    DiagCode::DuplicateClass);
@@ -40,7 +41,7 @@ ClassId Hierarchy::createClass(std::string_view Name, SourceLoc Loc,
 
   ClassId Id(static_cast<uint32_t>(Classes.size()));
   Classes.push_back(ClassInfo{Sym, Loc, {}, {}, {}});
-  ClassByName.emplace(Sym, Id);
+  ClassOfName[Sym.index()] = Id;
   return Id;
 }
 
@@ -84,7 +85,11 @@ bool Hierarchy::addBase(ClassId Derived, ClassId Base, InheritanceKind Kind,
     }
 
   DerivedInfo.DirectBases.push_back(BaseSpecifier{Base, Kind, Access, Loc});
-  Classes[Base.index()].DirectDerived.push_back(Derived);
+  // Usually Derived is the newest deriver and this appends; an edit
+  // adding a base to an older class inserts in id order.
+  std::vector<ClassId> &Derivers = Classes[Base.index()].DirectDerived;
+  Derivers.insert(std::upper_bound(Derivers.begin(), Derivers.end(), Derived),
+                  Derived);
   ++NumEdges;
   return true;
 }
@@ -141,16 +146,76 @@ void Hierarchy::addUsingDeclaration(ClassId Class, ClassId From,
   ++NumMemberDecls;
 }
 
+Hierarchy Hierarchy::editableCopy() const {
+  Hierarchy Copy;
+  Copy.Names = Names.clone();
+  Copy.Classes = Classes;
+  Copy.ClassOfName = ClassOfName;
+  Copy.NumEdges = NumEdges;
+  Copy.NumMemberDecls = NumMemberDecls;
+  return Copy;
+}
+
+bool Hierarchy::removeMember(ClassId Class, Symbol Name) {
+  assert(!Finalized && "cannot remove members after finalize()");
+  // A class declares a name at most once.
+  auto Named = [Name](const MemberDecl &M) { return M.Name == Name; };
+  if (std::erase_if(Classes[Class.index()].Members, Named) == 0)
+    return false;
+  --NumMemberDecls;
+  return true;
+}
+
+bool Hierarchy::removeBase(ClassId Derived, ClassId Base) {
+  assert(!Finalized && "cannot remove edges after finalize()");
+  // A base appears at most once in a base-specifier list.
+  auto ToBase = [Base](const BaseSpecifier &S) { return S.Base == Base; };
+  if (std::erase_if(Classes[Derived.index()].DirectBases, ToBase) == 0)
+    return false;
+  std::erase(Classes[Base.index()].DirectDerived, Derived);
+  --NumEdges;
+  return true;
+}
+
+void Hierarchy::removeClass(ClassId Class) {
+  assert(!Finalized && "cannot remove classes after finalize()");
+  ClassInfo &Info = Classes[Class.index()];
+  assert(Info.DirectDerived.empty() && "class is still some class's base");
+  for (const BaseSpecifier &Spec : Info.DirectBases)
+    std::erase(Classes[Spec.Base.index()].DirectDerived, Class);
+  NumEdges -= static_cast<uint32_t>(Info.DirectBases.size());
+  NumMemberDecls -= static_cast<uint32_t>(Info.Members.size());
+  ClassOfName[Info.Name.index()] = ClassId();
+  Classes.erase(Classes.begin() + Class.index());
+
+  // Every id above the erased slot moves down one; relative order, and
+  // so the ascending DirectDerived lists, are preserved.
+  auto Shift = [Class](ClassId &Id) {
+    if (Id.isValid() && Id.index() > Class.index())
+      Id = ClassId(Id.index() - 1);
+  };
+  for (ClassInfo &C : Classes) {
+    for (BaseSpecifier &Spec : C.DirectBases)
+      Shift(Spec.Base);
+    for (ClassId &D : C.DirectDerived)
+      Shift(D);
+    for (MemberDecl &M : C.Members)
+      Shift(M.UsingFrom);
+  }
+  for (ClassId &Id : ClassOfName)
+    Shift(Id);
+}
+
 /// Topologically sorts \p H's classes (bases first), reporting a cycle.
 static TopologicalSortResult sortClasses(const Hierarchy &H,
                                          DiagnosticEngine &Diags) {
-  uint32_t N = H.numClasses();
-  std::vector<std::vector<uint32_t>> Successors(N);
-  for (uint32_t D = 0; D != N; ++D)
-    for (const BaseSpecifier &Spec : H.info(ClassId(D)).DirectBases)
-      Successors[Spec.Base.index()].push_back(D);
-
-  TopologicalSortResult Topo = topologicalSort(N, Successors);
+  // DirectDerived lists each base's successors in ascending id order -
+  // the order a scan of the direct-base lists would build.
+  TopologicalSortResult Topo =
+      topologicalSortBy(H.numClasses(), [&H](uint32_t B, auto Visit) {
+        for (ClassId D : H.info(ClassId(B)).DirectDerived)
+          Visit(D.index());
+      });
   if (!Topo.IsAcyclic) {
     std::string Witness =
         Topo.CycleWitness
@@ -239,10 +304,9 @@ bool Hierarchy::finalize(DiagnosticEngine &Diags) {
 
 ClassId Hierarchy::findClass(std::string_view Name) const {
   Symbol Sym = Names.find(Name);
-  if (!Sym.isValid())
+  if (!Sym.isValid() || Sym.index() >= ClassOfName.size())
     return ClassId();
-  auto It = ClassByName.find(Sym);
-  return It == ClassByName.end() ? ClassId() : It->second;
+  return ClassOfName[Sym.index()];
 }
 
 const MemberDecl *Hierarchy::declaredMember(ClassId Class, Symbol Name) const {
@@ -354,13 +418,9 @@ size_t Hierarchy::heapBytes() const {
                  VecBytes(TopoIndex) + VecBytes(MemberNames) +
                  VecBytes(DeclarerOffsets) + VecBytes(Declarers) +
                  VecBytes(VirtualRank) + VecBytes(VirtualBaseClasses) +
-                 VirtualClosure.heapBytes();
+                 VecBytes(ClassOfName) + VirtualClosure.heapBytes();
   for (const ClassInfo &Info : Classes)
     Bytes += VecBytes(Info.DirectBases) + VecBytes(Info.DirectDerived) +
              VecBytes(Info.Members);
-  // One node per entry (next pointer, cached hash, value) plus buckets.
-  Bytes += ClassByName.bucket_count() * sizeof(void *) +
-           ClassByName.size() *
-               (2 * sizeof(void *) + sizeof(std::pair<Symbol, ClassId>));
   return Bytes;
 }

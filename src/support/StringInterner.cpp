@@ -22,6 +22,16 @@ Symbol StringInterner::intern(std::string_view Text) {
   return Sym;
 }
 
+StringInterner StringInterner::clone() const {
+  StringInterner Copy;
+  Copy.Spellings = Spellings;
+  Copy.Index.reserve(Spellings.size());
+  uint32_t Raw = 0;
+  for (const std::string &S : Copy.Spellings)
+    Copy.Index.emplace(std::string_view(S), Symbol(Raw++));
+  return Copy;
+}
+
 Symbol StringInterner::find(std::string_view Text) const {
   auto It = Index.find(Text);
   return It == Index.end() ? Symbol() : It->second;

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace memlook;
 using namespace memlook::testutil;
 
@@ -247,4 +250,71 @@ TEST(HierarchyTest, ValidateIsCycleSafeWithUsingDeclarations) {
   EXPECT_FALSE(H.validate(Diags));
   EXPECT_TRUE(Diags.hasCode(DiagCode::InheritanceCycle));
   EXPECT_TRUE(Diags.hasCode(DiagCode::InvalidUsingTarget));
+}
+
+/// A <- B, C, D with D : A; every class declares its own member.
+Hierarchy editBase() {
+  Hierarchy H;
+  ClassId A = H.createClass("A");
+  ClassId B = H.createClass("B");
+  H.createClass("C");
+  ClassId D = H.createClass("D");
+  H.addBase(D, A);
+  H.addBase(B, A);
+  for (uint32_t C = 0; C != 4; ++C)
+    H.addMember(ClassId(C), "m" + std::to_string(C));
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(H.finalize(Diags));
+  return H;
+}
+
+TEST(HierarchyTest, DirectDerivedStaysAscending) {
+  // B is linked after D but has the lower id, so it is inserted first.
+  Hierarchy Base = editBase();
+  ClassId A(0), B(1), D(3);
+  EXPECT_EQ(Base.info(A).DirectDerived, (std::vector<ClassId>{B, D}));
+
+  // An edit adding a base to an older class inserts in id order too.
+  Hierarchy H = Base.editableCopy();
+  ClassId C(2);
+  EXPECT_TRUE(H.addBase(C, A));
+  EXPECT_EQ(H.info(A).DirectDerived, (std::vector<ClassId>{B, C, D}));
+
+  // Removing a middle class shifts every later id down by one; the
+  // lists stay ascending and name the same classes.
+  EXPECT_TRUE(H.removeBase(C, A));
+  H.removeClass(C);
+  ASSERT_EQ(H.numClasses(), 3u);
+  EXPECT_EQ(H.className(ClassId(2)), "D");
+  EXPECT_EQ(H.findClass("D"), ClassId(2));
+  EXPECT_FALSE(H.findClass("C").isValid());
+  EXPECT_EQ(H.info(A).DirectDerived, (std::vector<ClassId>{B, ClassId(2)}));
+  EXPECT_EQ(H.info(ClassId(2)).DirectBases.front().Base, A);
+  EXPECT_EQ(H.numEdges(), 2u);
+  EXPECT_EQ(H.numMemberDecls(), 3u);
+  DiagnosticEngine Diags;
+  EXPECT_TRUE(H.finalize(Diags));
+}
+
+TEST(HierarchyTest, EditableCopyKeepsIdsAndSymbolsAndLeavesTheBase) {
+  Hierarchy Base = editBase();
+  Hierarchy H = Base.editableCopy();
+  EXPECT_FALSE(H.isFinalized());
+  for (uint32_t C = 0; C != Base.numClasses(); ++C)
+    EXPECT_EQ(H.info(ClassId(C)).Name, Base.info(ClassId(C)).Name);
+  EXPECT_EQ(H.findName("m2"), Base.findName("m2"));
+
+  // Edits to the copy never reach the base.
+  EXPECT_TRUE(H.removeMember(ClassId(0), H.findName("m0")));
+  EXPECT_FALSE(H.removeMember(ClassId(0), H.findName("m0")));
+  EXPECT_TRUE(H.removeBase(ClassId(3), ClassId(0)));
+  EXPECT_FALSE(H.removeBase(ClassId(3), ClassId(0)));
+  H.addMember(ClassId(1), "fresh");
+  EXPECT_EQ(H.numMemberDecls(), 4u);
+  EXPECT_EQ(H.numEdges(), 1u);
+  EXPECT_EQ(Base.numMemberDecls(), 4u);
+  EXPECT_EQ(Base.numEdges(), 2u);
+  EXPECT_TRUE(Base.declaresMember(ClassId(0), Base.findName("m0")));
+  EXPECT_FALSE(Base.findName("fresh").isValid());
+  EXPECT_EQ(Base.info(ClassId(0)).DirectDerived.size(), 2u);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,4 +74,27 @@ TEST(StringInternerTest, SymbolsOrderedByCreation) {
   Symbol Second = Interner.intern("second");
   EXPECT_LT(First, Second);
   EXPECT_EQ(First.index() + 1, Second.index());
+}
+
+TEST(StringInternerTest, CloneOutlivesTheOriginal) {
+  // The clone's index must key its own spellings: with the original
+  // gone, a copy whose keys pointed into it would read freed memory
+  // (which the asan preset reports).
+  auto Original = std::make_unique<StringInterner>();
+  std::vector<Symbol> Symbols;
+  for (int I = 0; I != 100; ++I)
+    Symbols.push_back(Original->intern("name_long_enough_to_spill_" +
+                                       std::to_string(I)));
+  StringInterner Copy = Original->clone();
+  Original.reset();
+
+  EXPECT_EQ(Copy.size(), 100u);
+  for (int I = 0; I != 100; ++I) {
+    std::string Name = "name_long_enough_to_spill_" + std::to_string(I);
+    EXPECT_EQ(Copy.find(Name), Symbols[I]);
+    EXPECT_EQ(Copy.spelling(Symbols[I]), Name);
+  }
+  // The clone grows on its own: new names take the next Symbols.
+  EXPECT_EQ(Copy.intern("fresh").index(), 100u);
+  EXPECT_EQ(Copy.intern("name_long_enough_to_spill_7"), Symbols[7]);
 }
